@@ -36,7 +36,6 @@ from .kernels import (
 )
 from .diagnostics import (
     delta_convergence,
-    damage_field,
     energy,
     impenetrability_probe,
     stretch_compare,

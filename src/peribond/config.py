@@ -236,6 +236,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             "[breaker] eps: must be positive for the theta-eps breaker, got "
             f"{cfg.get('breaker', 'eps')}"
         )
+    memory_mode = cfg.get("memory", "mode")
+    if cfg.get("breaker", "mode") != "none" and memory_mode != "infinite":
+        raise ConfigError(
+            f"[breaker] mode: {memory_mode} memory rediscovers its bonds every "
+            "step, so no breaker applies; set [memory] mode = infinite or "
+            "[breaker] mode = none"
+        )
     amp = cfg.get("load", "amplitude")
     if cfg.get("load", "preset") != "none" and len(amp) != dim:
         raise ConfigError(

@@ -33,15 +33,12 @@ def energy(cloud, bonds, model, state, reference_total=None, tol=1e-3) -> Energy
     reported through impenetrability_flag instead of raising.
     """
     kin = dynamics.kinetic_energy(cloud, state.v)
-    eta = state.u[bonds.neighbors] - state.u[bonds.source]
     try:
-        phi = np.asarray(model.potential(bonds.xi, eta, bonds.mu), dtype=float)
-        finite = bool(np.all(np.isfinite(phi)))
+        pot = dynamics.potential_energy(cloud, bonds, model, state.u)
     except SingularConfigurationError:
-        finite = False
-    if finite:
-        pot = 0.5 * float(np.sum(phi * bonds.weights * cloud.volumes[bonds.source]))
-    else:
+        pot = math.inf
+    finite = math.isfinite(pot)
+    if not finite:
         pot = math.inf
     total = kin + pot
     ref = total if reference_total is None else float(reference_total)
@@ -56,11 +53,6 @@ def energy(cloud, bonds, model, state, reference_total=None, tol=1e-3) -> Energy
         impenetrability_flag=not finite,
         tol=tol,
     )
-
-
-def damage_field(bonds) -> np.ndarray:
-    """Per-point fraction of weighted bond loss, phi_i in [0, 1]."""
-    return bonds.damage()
 
 
 @dataclass(frozen=True)

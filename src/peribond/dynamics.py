@@ -149,12 +149,11 @@ def step_verlet(cloud, bonds, model, state: SimState, dt: float, load=None, forc
 
     breaker = model.breaker
     if breaker is not None and breaker.active:
-        mu_sum = float(bonds.mu.sum())
         s = bond_stretches(bonds, state.u)
-        update_breaker(
+        n_changed = update_breaker(
             breaker, s, dt, bonds.mu, bonds.accum, model.breaker_thresholds(bonds.xi_norm)
         )
-        if float(bonds.mu.sum()) != mu_sum:
+        if n_changed > 0:
             # Bonds broke this step: refresh the cached force so the next
             # step starts from the damaged network.
             force_new = internal_force(cloud, bonds, model, state.u)

@@ -14,14 +14,7 @@ import math
 import numpy as np
 
 from . import dynamics
-from .discretization import (
-    HorizonConfig,
-    PointCloud,
-    directed_pairs,
-    minimum_image,
-    neighbor_pairs,
-    partial_volume_factor,
-)
+from .discretization import HorizonConfig, PointCloud, directed_pairs, partial_volume_factor
 from .errors import ConfigError, SimulationError, SingularConfigurationError
 
 MEMORY_MODES = ("infinite", "finite", "zero")
@@ -65,8 +58,7 @@ class FluidState:
     reference: np.ndarray   # (N, dim) reference coordinates (pre-history shape)
     t: float = 0.0
     step: int = 0
-    stride: int = 0                 # memory depth in steps (finite mode)
-    zero_prehistory: bool = True    # remembered shape before t = 0 is the reference
+    stride: int = 0         # memory depth in steps (finite mode)
     _snaps: dict = field(default_factory=dict)
 
     def push_snapshot(self):
@@ -77,12 +69,7 @@ class FluidState:
     def remembered(self, target_step: int) -> np.ndarray:
         """Positions at an earlier step; the reference shape before t = 0."""
         if target_step < 0:
-            if self.zero_prehistory:
-                return self.reference
-            raise SimulationError(
-                f"insufficient history: step {target_step} requested but the "
-                f"buffer holds no pre-history (required depth {self.stride})"
-            )
+            return self.reference
         try:
             return self._snaps[target_step]
         except KeyError:
@@ -92,7 +79,7 @@ class FluidState:
             ) from None
 
 
-def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0, zero_prehistory=True):
+def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
     """Lift a displacement/velocity state onto current coordinates."""
     fs = FluidState(
         positions=cloud.positions + state.u,
@@ -101,27 +88,9 @@ def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0, zero_preh
         t=state.t,
         step=state.step,
         stride=stride,
-        zero_prehistory=zero_prehistory,
     )
     fs.push_snapshot()
     return fs
-
-
-def geometric_neighbors(positions, query_point, delta, box=None, periodic=None):
-    """Indices of particles within delta of a spatial point, sorted.
-
-    Zero-distance hits are dropped (they identify the query particle itself);
-    an empty neighborhood is legal here and left to callers to flag.
-    """
-    positions = np.asarray(positions, dtype=float)
-    query_point = np.asarray(query_point, dtype=float)
-    dim = positions.shape[1]
-    if box is None:
-        box = np.zeros(dim)
-        periodic = np.zeros(dim, dtype=bool)
-    diff = minimum_image(positions - query_point[None, :], box, periodic)
-    dist = np.linalg.norm(diff, axis=1)
-    return np.flatnonzero((dist > 0.0) & (dist <= delta))
 
 
 def _geometric_bond_table(positions, cloud, horizon):
@@ -141,19 +110,18 @@ def _geometric_bond_table(positions, cloud, horizon):
     return source, neighbors, xi, dist, weights
 
 
-def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon: HorizonConfig,
-                 point=None):
+def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon: HorizonConfig):
     """Force density with the horizon bound to the remembered configuration.
 
     Bonds are rediscovered in the shape a memory span in the past; the kernel
     sees xi as the remembered separation and eta as the relative displacement
-    accumulated since. With infinite memory and zero pre-history this equals
-    the reference-network internal force of the solid theory.
+    accumulated since. With infinite memory this equals the reference-network
+    internal force of the solid theory.
     """
     if memory.mode == "zero":
         raise ConfigError("zero-memory runs use fluid_force, not memory_force")
     if memory.mode == "infinite":
-        ref = state.reference if state.zero_prehistory else state.remembered(-1)
+        ref = state.reference
     else:
         ref = state.remembered(state.step - state.stride)
     source, neighbors, xi, dist, weights = _geometric_bond_table(ref, cloud, horizon)
@@ -161,8 +129,7 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
         state.positions[source] - ref[source]
     )
     f = model.force(xi, eta)
-    out = dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
-    return out if point is None else out[point]
+    return dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
 
 
 def _memory_potential(cloud, state, model, memory, horizon):
@@ -179,7 +146,7 @@ def _memory_potential(cloud, state, model, memory, horizon):
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
-                model=None, velocities=None, point=None):
+                model=None, velocities=None):
     """Zero-memory force: kernel over current-configuration neighbors.
 
     The second kernel argument is the velocity difference scaled by the
@@ -199,8 +166,7 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
         f = model.force(xi, memory.coefficient * dv)
-    out = dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
-    return out if point is None else out[point]
+    return dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
 
 
 def run_fluid(

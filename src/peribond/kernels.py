@@ -143,50 +143,61 @@ def theta_ramp(accum, eps):
 
 
 def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None):
-    """Advance per-bond damage state one step, in place; returns mu.
+    """Advance per-bond damage state one step, in place.
 
     stretch holds the post-step bond stretches. thresholds optionally
     overrides breaker.s0 per bond (used by the displacement-threshold family
     whose critical stretch varies with bond length). mu only ever decreases.
+    Returns the number of bonds whose mu changed; under critical-stretch a
+    bond already at zero does not count again.
     """
     if breaker is None or not breaker.active:
-        return mu
+        return 0
     s0 = breaker.s0 if thresholds is None else thresholds
     if breaker.mode == "critical-stretch":
-        mu[stretch >= s0] = 0.0
+        changed = (stretch >= s0) & (mu != 0.0)
+        mu[changed] = 0.0
     else:  # theta-eps
         accum += np.maximum(0.0, stretch - s0) * dt
-        np.minimum(mu, theta_ramp(accum, breaker.eps), out=mu)
-    return mu
-
-
-def _eval_coeff(coeff, r):
-    """A radial coefficient given as a constant or a callable of r."""
-    if callable(coeff):
-        return np.asarray(coeff(r), dtype=float)
-    return float(coeff)
+        ramp = theta_ramp(accum, breaker.eps)
+        changed = ramp < mu
+        np.minimum(mu, ramp, out=mu)
+    return int(np.count_nonzero(changed))
 
 
 class KernelModel:
-    """Common interface for the bond force families."""
+    """Shared contract of the bond force families.
 
-    family = "base"
+    Every family is a central force f = coef(q, r) (xi + eta) with a scalar
+    potential phi(q, r), and supplies only its scalars: _coef(q, r, mu), the
+    force magnitude per unit deformed length; _phi(q, r, mu); and
+    _stiff0(r), d|f|/dq at q = r. Families without breakage ignore mu.
+    This class shapes the bond arrays, checks the geometry, resolves mu
+    (None means intact) and zeroes every bond outside support_radius, which
+    defaults to the family's delta.
+    """
+
     needs_direction = False  # True when the force divides by the deformed length
     breaker = None
 
     def force(self, xi, eta, mu=None):
-        raise NotImplementedError
+        z, q, r, mu, single = self._bonds(xi, eta, mu)
+        f = self._gate(self._coef(q, r, mu), r)[:, None] * z
+        return f[0] if single else f
 
     def potential(self, xi, eta, mu=None):
-        raise NotImplementedError
+        z, q, r, mu, single = self._bonds(xi, eta, mu)
+        phi = self._gate(self._phi(q, r, mu), r)
+        return float(phi[0]) if single else phi
 
     def stiffness0(self, xi_norm):
         """Magnitude of the bond stiffness d|f|/dq at the undeformed state."""
-        raise NotImplementedError
+        r = np.asarray(xi_norm, dtype=float)
+        return self._gate(self._stiff0(r), r)
 
     @property
     def support_radius(self) -> float:
-        return math.inf
+        return self.delta
 
     def validate_dim(self, dim):
         return None
@@ -199,7 +210,12 @@ class KernelModel:
         """Samples to skip in FD gradient checks (force discontinuities)."""
         return None
 
-    def _geometry(self, xi, eta):
+    def _gate(self, values, r):
+        return np.where(in_support(r, self.support_radius), values, 0.0)
+
+    def _bonds(self, xi, eta, mu):
+        """Deformed bonds z, their lengths q and r, and mu (None: intact)."""
+        xi, eta, single = _as_bond_arrays(xi, eta)
         z = xi + eta
         q = np.linalg.norm(z, axis=1)
         r = np.linalg.norm(xi, axis=1)
@@ -211,19 +227,15 @@ class KernelModel:
                 f"{self.family}: deformed bond length reached zero "
                 f"(bond row(s) {rows})"
             )
-        return z, q, r
-
-    def _mu(self, mu, r):
-        if mu is None:
-            return 1.0
-        return np.asarray(mu, dtype=float)
+        mu = 1.0 if mu is None else np.asarray(mu, dtype=float)
+        return z, q, r, mu, single
 
 
 @dataclass(frozen=True)
 class AntiPlaneShear(KernelModel):
     """Elongation-proportional force with an absolute displacement cutoff.
 
-    f = c (q - r) n while the elongation q - r stays at or below u_star and
+    f = c (q - r) mu n while the elongation q - r stays at or below u_star and
     r <= delta; zero otherwise. The cutoff doubles as a per-bond breakage
     threshold s0 = u_star/r handled through the shared breaker machinery.
     """
@@ -248,87 +260,48 @@ class AntiPlaneShear(KernelModel):
         return None
 
     def breaker_thresholds(self, xi_norm):
-        if math.isfinite(self.u_star):
-            return self.u_star / np.asarray(xi_norm, dtype=float)
-        return None
+        return self.u_star / np.asarray(xi_norm, dtype=float)
 
-    @property
-    def support_radius(self):
-        return self.delta
+    def _coef(self, q, r, mu):
+        return self.c * (q - r) * ((q - r) <= self.u_star) * mu / q
 
-    def _active(self, q, r):
-        return ((q - r) <= self.u_star) & in_support(r, self.delta)
+    def _phi(self, q, r, mu):
+        return 0.5 * self.c * (q - r) ** 2 * ((q - r) <= self.u_star) * mu
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        mag = self.c * (q - r) * self._active(q, r) * self._mu(mu, r)
-        f = (mag / q)[:, None] * z
-        return f[0] if single else f
-
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = 0.5 * self.c * (q - r) ** 2 * self._active(q, r) * self._mu(mu, r)
-        return float(phi[0]) if single else phi
-
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
-        return self.c * in_support(r, self.delta).astype(float)
+    def _stiff0(self, r):
+        return np.full_like(r, self.c)
 
     def gradient_exclusion_mask(self, xi, eta, step):
-        if not math.isfinite(self.u_star):
-            return None
-        z = xi + eta
-        elong = np.linalg.norm(z, axis=1) - np.linalg.norm(xi, axis=1)
+        # an infinite u_star excludes nothing
+        elong = np.linalg.norm(xi + eta, axis=1) - np.linalg.norm(xi, axis=1)
         return np.abs(elong - self.u_star) <= 8.0 * step
 
 
 @dataclass(frozen=True)
 class QuadraticPotential(KernelModel):
-    """Quartic double-well potential alpha(r) (q^2 - r^2)^2.
+    """Quartic double-well potential alpha (q^2 - r^2)^2.
 
-    The force 4 alpha(r) (q^2 - r^2)(xi + eta) is its exact eta-gradient.
-    alpha may be a positive constant or a callable of the reference length.
+    The force 4 alpha (q^2 - r^2)(xi + eta) is its exact eta-gradient;
+    alpha is a positive constant.
     """
 
-    alpha: object = 1.0
+    alpha: float = 1.0
     delta: float = math.inf
 
     family = "quadratic"
-    needs_direction = False
 
     def __post_init__(self):
-        if not callable(self.alpha) and not self.alpha > 0.0:
+        if not self.alpha > 0.0:
             raise ConfigError(f"quadratic alpha must be positive, got {self.alpha}")
 
-    @property
-    def support_radius(self):
-        return self.delta
+    def _coef(self, q, r, mu):
+        return 4.0 * self.alpha * (q**2 - r**2)
 
-    def _coeff(self, r):
-        a = _eval_coeff(self.alpha, r)
-        if np.ndim(a) or math.isfinite(self.delta):
-            return np.where(in_support(r, self.delta), a, 0.0)
-        return a
+    def _phi(self, q, r, mu):
+        return self.alpha * (q**2 - r**2) ** 2
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        gap = q**2 - r**2
-        f = (4.0 * self._coeff(r) * gap)[..., None] * z
-        return f[0] if single else f
-
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = self._coeff(r) * (q**2 - r**2) ** 2
-        phi = np.broadcast_to(phi, r.shape)
-        return float(phi[0]) if single else np.array(phi)
-
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
-        return np.broadcast_to(8.0 * self._coeff(r) * r**2, r.shape)
+    def _stiff0(self, r):
+        return 8.0 * self.alpha * r**2
 
 
 @dataclass(frozen=True)
@@ -345,26 +318,21 @@ class PMB(KernelModel):
     family = "pmb"
     needs_direction = True
 
+    # The shared force, bound as PMB's own attribute: the benchmark tracer
+    # patches and restores PMB.force by name.
+    force = KernelModel.force
+
     @property
     def support_radius(self):
         return self.micro.delta
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        s = (q - r) / r
-        mag = self.micro(r) * s * self._mu(mu, r)
-        f = (mag / q)[:, None] * z
-        return f[0] if single else f
+    def _coef(self, q, r, mu):
+        return self.micro(r) * ((q - r) / r) * mu / q
 
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = self.micro(r) * (q - r) ** 2 / (2.0 * r) * self._mu(mu, r)
-        return float(phi[0]) if single else phi
+    def _phi(self, q, r, mu):
+        return self.micro(r) * (q - r) ** 2 / (2.0 * r) * mu
 
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
+    def _stiff0(self, r):
         return self.micro(r) / r
 
 
@@ -381,94 +349,55 @@ class ConstructiveRod(KernelModel):
     def support_radius(self):
         return self.micro.delta
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        mag = self.micro(r) * (q - r) / r**2
-        f = (mag / q)[:, None] * z
-        return f[0] if single else f
+    def _coef(self, q, r, mu):
+        return self.micro(r) * (q - r) / r**2 / q
 
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = self.micro(r) * (q - r) ** 2 / (2.0 * r**2)
-        return float(phi[0]) if single else phi
+    def _phi(self, q, r, mu):
+        return self.micro(r) * (q - r) ** 2 / (2.0 * r**2)
 
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
+    def _stiff0(self, r):
         return self.micro(r) / r**2
 
 
 @dataclass(frozen=True)
 class Convolution(KernelModel):
-    """Odd power-law force f = C(xi) |q_vec|^(r-1) q_vec with q_vec = xi + eta.
+    """Odd power-law force f = c |q_vec|^(r-1) q_vec with q_vec = xi + eta.
 
-    The radial coefficient C must be even in xi (a constant always is); the
-    exponent must be an odd integer above 1. In one dimension this reduces to
-    the scalar form C (xi + eta)^r.
+    c is a positive constant; the exponent must be an odd integer above 1.
+    In one dimension this reduces to the scalar form c (xi + eta)^r.
     """
 
-    c_fn: object = 1.0
+    c: float = 1.0
     exponent: int = 3
     delta: float = math.inf
 
     family = "convolution"
-    needs_direction = False
 
     def __post_init__(self):
         if int(self.exponent) != self.exponent or self.exponent <= 1 or self.exponent % 2 == 0:
             raise ConfigError(
                 f"convolution exponent must be an odd integer > 1, got {self.exponent}"
             )
-        if not callable(self.c_fn) and not self.c_fn > 0.0:
-            raise ConfigError(f"convolution coefficient must be positive, got {self.c_fn}")
+        if not self.c > 0.0:
+            raise ConfigError(f"convolution coefficient must be positive, got {self.c}")
 
-    @property
-    def support_radius(self):
-        return self.delta
+    def _coef(self, q, r, mu):
+        return self.c * q ** (self.exponent - 1)
 
-    def _coeff(self, xi, r):
-        if callable(self.c_fn):
-            c = np.asarray(self.c_fn(xi), dtype=float)
-        else:
-            c = float(self.c_fn)
-        return np.where(in_support(r, self.delta), c, 0.0) if math.isfinite(self.delta) else c
+    def _phi(self, q, r, mu):
+        return self.c * q ** (self.exponent + 1) / (self.exponent + 1)
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        f = (self._coeff(xi, r) * q ** (self.exponent - 1))[..., None] * z
-        return f[0] if single else f
-
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = self._coeff(xi, r) * q ** (self.exponent + 1) / (self.exponent + 1)
-        phi = np.broadcast_to(phi, r.shape)
-        return float(phi[0]) if single else np.array(phi)
-
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
-        # Constant coefficient assumed for the stability bound; callables get
-        # evaluated on a zero offset of the same length, which matches any
-        # radially symmetric C.
-        if callable(self.c_fn):
-            xi_stub = np.zeros((r.shape[0], 1))
-            xi_stub[:, 0] = r
-            c = np.asarray(self.c_fn(xi_stub), dtype=float)
-        else:
-            c = float(self.c_fn)
-        return np.broadcast_to(c * self.exponent * r ** (self.exponent - 1), r.shape)
+    def _stiff0(self, r):
+        return self.c * self.exponent * r ** (self.exponent - 1)
 
 
 @dataclass(frozen=True)
 class NonlinearP(KernelModel):
     """Power-law family with singular reference-length denominator.
 
-    phi = kappa q^p / r^(dim + alpha p) (+ psi), f = kappa p q^(p-2) q_vec /
-    r^(dim + alpha p) (+ psi_force). Requires p >= 2 and alpha in (0, 1); the
-    stored dim must match the cloud the model is used with. psi and psi_force
-    are optional smooth perturbation hooks (caller keeps them consistent).
+    phi = kappa q^p / r^(dim + alpha p), f = kappa p q^(p-2) q_vec /
+    r^(dim + alpha p). Requires p >= 2 and alpha in (0, 1); the stored dim
+    must match the cloud the model is used with.
     """
 
     kappa: float = 1.0
@@ -476,11 +405,8 @@ class NonlinearP(KernelModel):
     alpha: float = 0.5
     dim: int = 1
     delta: float = math.inf
-    psi: object = None
-    psi_force: object = None
 
     family = "nonlinear-p"
-    needs_direction = False
 
     def __post_init__(self):
         if not self.kappa > 0.0:
@@ -494,10 +420,6 @@ class NonlinearP(KernelModel):
         if self.dim not in (1, 2, 3):
             raise ConfigError(f"dim must be 1, 2, or 3, got {self.dim}")
 
-    @property
-    def support_radius(self):
-        return self.delta
-
     def validate_dim(self, dim):
         if dim != self.dim:
             raise ConfigError(
@@ -505,52 +427,29 @@ class NonlinearP(KernelModel):
             )
 
     def _denom(self, r):
-        d = r ** (self.dim + self.alpha * self.p)
-        return np.where(in_support(r, self.delta), d, np.inf) if math.isfinite(self.delta) else d
+        return r ** (self.dim + self.alpha * self.p)
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        pref = self.kappa * self.p * q ** (self.p - 2.0) / self._denom(r)
-        f = pref[:, None] * z
-        if self.psi_force is not None:
-            f = f + np.asarray(self.psi_force(xi, eta), dtype=float)
-        return f[0] if single else f
+    def _coef(self, q, r, mu):
+        return self.kappa * self.p * q ** (self.p - 2.0) / self._denom(r)
 
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = self.kappa * q**self.p / self._denom(r)
-        if self.psi is not None:
-            phi = phi + np.asarray(self.psi(xi, eta), dtype=float)
-        return float(phi[0]) if single else phi
+    def _phi(self, q, r, mu):
+        return self.kappa * q**self.p / self._denom(r)
 
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
+    def _stiff0(self, r):
         return self.kappa * self.p * (self.p - 1.0) * r ** (self.p - 2.0) / self._denom(r)
-
-
-def _nano_elastic_scalar(c, q, r, g):
-    ratio = q / r
-    return (2.0 * c / r) * (ratio - ratio**-3) * g
-
-
-def _nano_elastic_potential(c, q, r, g):
-    # Antiderivative of the scalar force in q, shifted to vanish at q = r.
-    return (c * g / r) * (q**2 / r + r**3 / q**2 - 2.0 * r)
 
 
 @dataclass(frozen=True)
 class NanoMembrane(KernelModel):
     """Thin-membrane family with a hard repulsive core.
 
-    f = (2c/r)(q/r - (q/r)^-3) g(r) mu n. The inverse-cube term diverges as
+    f = (2c/r)(q/r - (q/r)^-3) g mu n. The inverse-cube term diverges as
     the deformed length collapses, so coincidence is energetically barred.
-    g is a radial profile (constant or callable), default 1 inside delta.
+    g is a positive constant.
     """
 
     c: float = 1.0
-    g_fn: object = 1.0
+    g: float = 1.0
     delta: float = math.inf
     breaker: BondBreaker = BondBreaker()
 
@@ -559,38 +458,27 @@ class NanoMembrane(KernelModel):
 
     def __post_init__(self):
         if not self.c > 0.0:
-            raise ConfigError(f"nano-membrane c must be positive, got {self.c}")
+            raise ConfigError(f"{self.family} c must be positive, got {self.c}")
+        if not self.g > 0.0:
+            raise ConfigError(f"{self.family} g must be positive, got {self.g}")
 
-    @property
-    def support_radius(self):
-        return self.delta
+    def _magnitude(self, q, r, mu):
+        ratio = q / r
+        return (2.0 * self.c / r) * (ratio - ratio**-3) * self.g * mu
 
-    def _g(self, r):
-        g = _eval_coeff(self.g_fn, r)
-        if math.isfinite(self.delta):
-            return np.where(in_support(r, self.delta), g, 0.0)
-        return g
+    def _coef(self, q, r, mu):
+        return self._magnitude(q, r, mu) / q
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        mag = _nano_elastic_scalar(self.c, q, r, self._g(r)) * self._mu(mu, r)
-        f = (mag / q)[:, None] * z
-        return f[0] if single else f
+    def _phi(self, q, r, mu):
+        # Antiderivative of the magnitude in q, shifted to vanish at q = r.
+        return (self.c * self.g / r) * (q**2 / r + r**3 / q**2 - 2.0 * r) * mu
 
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        phi = _nano_elastic_potential(self.c, q, r, self._g(r)) * self._mu(mu, r)
-        return float(phi[0]) if single else phi
-
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
-        return np.broadcast_to(8.0 * self.c * self._g(r) / r**2, r.shape)
+    def _stiff0(self, r):
+        return 8.0 * self.c * self.g / r**2
 
 
 @dataclass(frozen=True)
-class NanoFiber(KernelModel):
+class NanoFiber(NanoMembrane):
     """Fiber family: membrane elasticity plus 12-6 van der Waals terms.
 
     Only the elastic bracket is scaled by g and the breaker factor mu; the
@@ -599,63 +487,35 @@ class NanoFiber(KernelModel):
     der Waals length scale).
     """
 
-    c: float = 1.0
+    delta: float = 1.0
     vdw_a: float = 0.0
     vdw_b: float = 0.0
-    delta: float = 1.0
-    g_fn: object = 1.0
-    breaker: BondBreaker = BondBreaker()
 
     family = "nano-fiber"
-    needs_direction = True
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ConfigError(f"nano-fiber c must be positive, got {self.c}")
+        super().__post_init__()
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ConfigError(f"nano-fiber delta must be finite positive, got {self.delta}")
         if self.vdw_a < 0.0 or self.vdw_b < 0.0:
             raise ConfigError("van der Waals coefficients must be non-negative")
 
-    @property
-    def support_radius(self):
-        return self.delta
-
-    def _g(self, r):
-        g = _eval_coeff(self.g_fn, r)
-        return np.where(in_support(r, self.delta), g, 0.0)
-
-    def _vdw_scalar(self, q):
-        d = self.delta
-        return -(12.0 * self.vdw_a / d) * (d / q) ** 13 + (6.0 * self.vdw_b / d) * (d / q) ** 7
-
     def _vdw_potential(self, q):
         d = self.delta
         return self.vdw_a * (d / q) ** 12 - self.vdw_b * (d / q) ** 6
 
-    def force(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        inside = in_support(r, self.delta).astype(float)
-        elastic = _nano_elastic_scalar(self.c, q, r, self._g(r)) * self._mu(mu, r)
-        mag = elastic + self._vdw_scalar(q) * inside
-        f = (mag / q)[:, None] * z
-        return f[0] if single else f
-
-    def potential(self, xi, eta, mu=None):
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z, q, r = self._geometry(xi, eta)
-        inside = in_support(r, self.delta).astype(float)
-        phi = _nano_elastic_potential(self.c, q, r, self._g(r)) * self._mu(mu, r)
-        phi = phi + (self._vdw_potential(q) - self._vdw_potential(r)) * inside
-        return float(phi[0]) if single else phi
-
-    def stiffness0(self, xi_norm):
-        r = np.asarray(xi_norm, dtype=float)
+    def _magnitude(self, q, r, mu):
         d = self.delta
-        elastic = 8.0 * self.c * self._g(r) / r**2
+        vdw = -(12.0 * self.vdw_a / d) * (d / q) ** 13 + (6.0 * self.vdw_b / d) * (d / q) ** 7
+        return super()._magnitude(q, r, mu) + vdw
+
+    def _phi(self, q, r, mu):
+        return super()._phi(q, r, mu) + (self._vdw_potential(q) - self._vdw_potential(r))
+
+    def _stiff0(self, r):
+        d = self.delta
         vdw = 156.0 * self.vdw_a * d**12 / r**14 + 42.0 * self.vdw_b * d**6 / r**8
-        return elastic + vdw * in_support(r, d)
+        return super()._stiff0(r) + vdw
 
 
 KERNEL_FAMILIES = {
@@ -684,10 +544,10 @@ def default_models(delta: float = 1.0, dim: int = 3) -> dict:
         "quadratic": QuadraticPotential(alpha=1.0, delta=delta),
         "pmb": PMB(micro=MicroModulus("cylindrical", 1.0, delta)),
         "rod": ConstructiveRod(micro=MicroModulus("triangular", 1.0, delta)),
-        "convolution": Convolution(c_fn=1.0, exponent=3, delta=delta),
+        "convolution": Convolution(c=1.0, exponent=3, delta=delta),
         "nonlinear-p": NonlinearP(kappa=1.0, p=2.5, alpha=0.5, dim=dim, delta=delta),
-        "nano-membrane": NanoMembrane(c=1.0, g_fn=1.0, delta=delta),
-        "nano-fiber": NanoFiber(c=1.0, vdw_a=0.5, vdw_b=1.0, delta=delta, g_fn=1.0),
+        "nano-membrane": NanoMembrane(c=1.0, g=1.0, delta=delta),
+        "nano-fiber": NanoFiber(c=1.0, vdw_a=0.5, vdw_b=1.0, delta=delta, g=1.0),
     }
 
 

@@ -288,15 +288,15 @@ def model_from_config(cfg: RunConfig, delta: float, dim: int):
     if family == "rod":
         return ConstructiveRod(micro=MicroModulus(k["micro"], k["c0"], delta))
     if family == "convolution":
-        return Convolution(c_fn=k["c"], exponent=k["exponent"], delta=delta)
+        return Convolution(c=k["c"], exponent=k["exponent"], delta=delta)
     if family == "nonlinear-p":
         return NonlinearP(kappa=k["kappa"], p=k["p"], alpha=k["alpha"],
                           dim=dim, delta=delta)
     if family == "nano-membrane":
-        return NanoMembrane(c=k["c"], g_fn=k["g"], delta=delta, breaker=breaker)
+        return NanoMembrane(c=k["c"], g=k["g"], delta=delta, breaker=breaker)
     if family == "nano-fiber":
         return NanoFiber(c=k["c"], vdw_a=k["vdw_a"], vdw_b=k["vdw_b"],
-                         delta=delta, g_fn=k["g"], breaker=breaker)
+                         delta=delta, g=k["g"], breaker=breaker)
     raise ConfigError(f"[kernel] family: unhandled family {family!r}")
 
 

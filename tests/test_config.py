@@ -119,6 +119,17 @@ def test_cross_key_validation():
         parse_config("[breaker]\nmode = theta-eps\ns0 = 0.1\n")
 
 
+def test_breaker_needs_infinite_memory():
+    # the memory runner rediscovers bonds and would ignore the breaker
+    for mode in ("finite\ns = 0.5", "zero"):
+        with pytest.raises(ConfigError, match=r"\[breaker\] mode: "):
+            parse_config("[breaker]\nmode = critical-stretch\ns0 = 0.01\n"
+                         f"[memory]\nmode = {mode}\n")
+    cfg = parse_config("[breaker]\nmode = critical-stretch\ns0 = 0.01\n"
+                       "[memory]\nmode = infinite\n")
+    assert cfg.get("breaker", "mode") == "critical-stretch"
+
+
 def test_preset_overlay_and_explicit_override():
     cfg = parse_config("[scenario]\npreset = bar1d-wave\n")
     assert cfg.get("domain", "dim") == 1

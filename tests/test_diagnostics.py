@@ -12,7 +12,6 @@ from peribond import (
     zero_state,
 )
 from peribond.diagnostics import (
-    damage_field,
     delta_convergence,
     energy,
     impenetrability_probe,
@@ -61,13 +60,6 @@ def test_energy_flags_singular_potential():
         rep = energy(cloud, bonds, NanoMembrane(c=1.0), state)
     assert rep.impenetrability_flag
     assert rep.potential == math.inf
-
-
-def test_damage_field_passthrough():
-    cloud, bonds, model = small_bar()
-    assert np.allclose(damage_field(bonds), 0.0)
-    bonds.mu[:] = 0.0
-    assert np.allclose(damage_field(bonds), 1.0)
 
 
 def test_stretch_compare_exact_for_affine_fields():

@@ -89,14 +89,14 @@ def test_rod_values():
 
 
 def test_convolution_values():
-    model = Convolution(c_fn=1.0, exponent=3)
+    model = Convolution(c=1.0, exponent=3)
     xi, eta = np.array([1.0, 0.0]), np.array([1.0, 0.0])  # q_vec = (2, 0)
     assert np.allclose(model.force(xi, eta), [8.0, 0.0])  # |q|^2 q_vec
     assert model.potential(xi, eta) == 4.0                # |q|^4 / 4
     with pytest.raises(ConfigError):
-        Convolution(c_fn=1.0, exponent=2)
+        Convolution(c=1.0, exponent=2)
     with pytest.raises(ConfigError):
-        Convolution(c_fn=1.0, exponent=1)
+        Convolution(c=1.0, exponent=1)
 
 
 def test_nonlinear_p_values():
@@ -113,7 +113,7 @@ def test_nonlinear_p_values():
 
 
 def test_nano_membrane_values():
-    model = NanoMembrane(c=1.0, g_fn=1.0)
+    model = NanoMembrane(c=1.0, g=1.0)
     xi, eta = np.array([1.0, 0.0]), np.array([1.0, 0.0])  # q/r = 2
     # (2c/r)(ratio - ratio^-3) = 2 (2 - 1/8) = 3.75
     assert np.allclose(model.force(xi, eta), [3.75, 0.0])
@@ -126,7 +126,7 @@ def test_nano_membrane_values():
 
 
 def test_nano_fiber_values():
-    model = NanoFiber(c=1.0, vdw_a=0.5, vdw_b=1.0, delta=1.0, g_fn=1.0)
+    model = NanoFiber(c=1.0, vdw_a=0.5, vdw_b=1.0, delta=1.0, g=1.0)
     xi = np.array([1.0, 0.0])
     # with b = 2a the 12-6 pair force crosses zero exactly at q = delta
     assert np.allclose(model.force(xi, np.zeros(2)), 0.0)
@@ -185,7 +185,7 @@ def test_singular_deformed_configuration_raises():
     # the polynomial families stay finite there
     assert np.allclose(QuadraticPotential(alpha=1.0).force(XI, eta),
                        [0.0, 0.0])
-    assert np.allclose(Convolution(c_fn=1.0, exponent=3).force(XI, eta),
+    assert np.allclose(Convolution(c=1.0, exponent=3).force(XI, eta),
                        [0.0, 0.0])
 
 
@@ -211,6 +211,26 @@ def test_theta_eps_breaker_fades_linearly():
     assert np.allclose(mu, [0.0, 1.0])
     assert np.allclose(theta_ramp(np.array([-1.0, 0.01, 0.05]), 0.02),
                        [1.0, 0.5, 0.0])
+
+
+def test_update_breaker_counts_changed_bonds():
+    stretch = np.array([0.05, 0.2, 0.3])
+    mu = np.ones(3)
+    accum = np.zeros(3)
+    assert update_breaker(BondBreaker(), stretch, 0.01, mu, accum) == 0
+    assert update_breaker(None, stretch, 0.01, mu, accum) == 0
+    assert np.all(mu == 1.0)
+    critical = BondBreaker("critical-stretch", s0=0.1)
+    assert update_breaker(critical, stretch, 0.01, mu, accum) == 2
+    # bonds already at zero (broken earlier, or seeded cracks) do not count
+    assert update_breaker(critical, stretch, 0.01, mu, accum) == 0
+    assert np.allclose(mu, [1.0, 0.0, 0.0])
+    graded = BondBreaker("theta-eps", s0=0.1, eps=0.02)
+    mu, accum = np.ones(3), np.zeros(3)
+    assert update_breaker(graded, stretch, 0.02, mu, accum) == 2
+    assert np.allclose(mu, [1.0, 0.9, 0.8])
+    # a stretch back below s0 leaves the ramp where it was
+    assert update_breaker(graded, np.zeros(3), 0.02, mu, accum) == 0
 
 
 def test_breaker_validation():
