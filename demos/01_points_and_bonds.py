@@ -30,21 +30,18 @@ print("volumes:  ", cloud.volumes)
 # nonlocal stencil, narrow enough to stay cheap
 horizon = HorizonConfig(delta=0.375)
 bonds = build_bonds(cloud, horizon)
-print(f"\nhorizon delta = {horizon.delta} -> {bonds.n_bonds} directed bonds")
+print(f"\nhorizon delta = {horizon.delta} -> {bonds.n_bonds} bond pairs")
 print("bonds per point:", bonds.degrees())
 print("interior points see 6 neighbors; ends see fewer (free surface).")
 
 banner("Partial volumes smooth the horizon edge")
 # a neighbor whose cell straddles the horizon sphere only counts the
 # slice that lies inside; the weight tapers linearly across one spacing
-for i, (lo, hi) in enumerate(zip(bonds.offsets[:-1], bonds.offsets[1:])):
-    if i != 3:
-        continue
-    r = bonds.xi_norm[lo:hi]
-    w = bonds.weights[lo:hi]
-    for rr, ww in sorted(zip(r, w)):
-        print(f"  bond length {rr:.3f}  weight {ww:.4f}"
-              + ("   <- tapered" if ww < 0.1249 else ""))
+# each pair is stored once; bonds_of(i) shows point i's side of its pairs
+rows, others, xi, w = bonds.bonds_of(3)
+for j, rr, ww in zip(others, bonds.xi_norm[rows], w):
+    print(f"  bond 3-{j}  length {rr:.3f}  weight {ww:.4f}"
+          + ("   <- tapered" if ww < 0.1249 else ""))
 
 banner("Periodic wrap")
 ring = build_grid(box=(1.0,), spacing=0.125, density=1.0, periodic=(True,))
@@ -56,7 +53,7 @@ banner("A 2D plate and its damage field")
 plate = build_grid(box=(1.0, 1.0), spacing=0.0625, density=1.0,
                    periodic=(False, False))
 plate_bonds = build_bonds(plate, HorizonConfig(delta=0.1875))
-print(f"points: {plate.n_points}, directed bonds: {plate_bonds.n_bonds}")
+print(f"points: {plate.n_points}, bond pairs: {plate_bonds.n_bonds}")
 damage = plate_bonds.damage()
 print(f"damage field before anything breaks: min {damage.min()}, "
       f"max {damage.max()} (all bonds intact)")
@@ -74,6 +71,6 @@ print(f"after cutting a seam: max damage {damage.max():.3f} on "
 banner("Three dimensions, same API")
 cube = build_grid(box=(0.5, 0.5, 0.5), spacing=0.125, density=2.0)
 cube_bonds = build_bonds(cube, HorizonConfig(delta=0.25))
-print(f"points: {cube.n_points}, directed bonds: {cube_bonds.n_bonds}")
+print(f"points: {cube.n_points}, bond pairs: {cube_bonds.n_bonds}")
 print("volumes carry the mass: density * h^3 =",
       cube.density * 0.125**3, "per point")

@@ -46,7 +46,7 @@ for t, d in zip(result.series["t"], result.series["damage_mean"]):
     bar = "#" * int(d * 400)
     print(f"  t = {t:6.3f}  mean damage {d:.4f}  {bar}")
 n_broken = int(np.sum(setup.bonds.mu == 0.0))
-print(f"  ({n_broken} of {setup.bonds.n_bonds} directed bonds broken)")
+print(f"  ({n_broken} of {setup.bonds.n_bonds} bond pairs broken)")
 
 print()
 print(f"damage after {setup.n_steps} steps:")

@@ -85,10 +85,9 @@ def impenetrability_probe(cloud, bonds, model, state, threshold=0.1) -> ProbeRep
     eta = state.u[bonds.neighbors] - state.u[bonds.source]
     dist = np.linalg.norm(bonds.xi + eta, axis=1)
     cut = threshold * cloud.spacing
-    upper = np.flatnonzero((dist < cut) & (bonds.source < bonds.neighbors))
 
     pairs, dists, phis, phi0s, amps = [], [], [], [], []
-    for k in upper:
+    for k in np.flatnonzero(dist < cut):
         xi_k = bonds.xi[k]
         phi = float(model.potential(xi_k, eta[k]))
         phi0 = float(model.potential(xi_k, np.zeros_like(xi_k)))
@@ -137,11 +136,10 @@ def stretch_compare(cloud, bonds, state, index) -> StretchCompareReport:
     second order in the strain. Raises for neighborhoods that span fewer
     than dim independent directions.
     """
-    lo, hi = bonds.offsets[index], bonds.offsets[index + 1]
-    if hi == lo:
+    _, others, xi, _ = bonds.bonds_of(index)
+    if others.size == 0:
         raise ConfigError(f"point {index} has an empty horizon")
-    xi = bonds.xi[lo:hi]
-    eta = state.u[bonds.neighbors[lo:hi]] - state.u[index]
+    eta = state.u[others] - state.u[index]
 
     gram = xi.T @ xi
     dim = cloud.dim

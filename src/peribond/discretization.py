@@ -2,18 +2,20 @@
 
 A body is sampled at the cell centers of a uniform grid with spacing h; each
 point carries the full cell volume h**dim (midpoint quadrature). Bonds connect
-every ordered pair of points whose reference separation satisfies
-0 < |xi| <= delta, with an optional linear partial-volume taper for cells that
-straddle the horizon boundary. Periodic axes use minimum-image separations.
+every unordered pair of points whose reference separation satisfies
+0 < |xi| <= delta, stored once, with an optional linear partial-volume taper
+for cells that straddle the horizon boundary. Periodic axes use minimum-image
+separations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import warnings
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularConfigurationError
+from .kernels import lengths
 
 PARTIAL_VOLUME_MODES = ("linear", "none")
 
@@ -57,40 +59,65 @@ class HorizonConfig:
 
 @dataclass
 class BondNetwork:
-    """Directed bond lists in CSR-like layout, sorted by (source, neighbor).
+    """Bond pairs sorted by (source, neighbor), each unordered pair stored once.
 
-    Every unordered pair within the horizon is stored twice, once per
-    direction, so xi[k] for bond (i -> j) is exactly the negation of the
-    reverse bond's xi. The mu and accum arrays hold mutable per-bond damage
-    state (intactness factor in [0, 1] and the graded-breakage accumulator).
+    Every pair has source < neighbors and xi = x_neighbor - x_source. A
+    central bond force is antisymmetric, so one evaluation per pair acts
+    with weight w_ij = V_j taper on the source and, negated, with
+    w_ji = V_i taper on the neighbor (Newton's third law). The mu and accum
+    arrays hold mutable per-pair damage state (intactness factor in [0, 1]
+    and the graded-breakage accumulator).
     """
 
-    offsets: np.ndarray    # (N+1,) slice bounds per source point
-    source: np.ndarray     # (M,) source point index per bond
-    neighbors: np.ndarray  # (M,) neighbor point index per bond
-    xi: np.ndarray         # (M, dim) reference separations (minimum image)
-    xi_norm: np.ndarray    # (M,) |xi|
-    weights: np.ndarray    # (M,) quadrature weight = V_j * partial volume factor
-    mu: np.ndarray         # (M,) bond intactness, starts at 1
-    accum: np.ndarray      # (M,) graded-breakage accumulator, starts at 0
+    source: np.ndarray           # (M,) lower point index per pair
+    neighbors: np.ndarray        # (M,) higher point index per pair
+    xi: np.ndarray               # (M, dim) reference separations (minimum image)
+    xi_norm: np.ndarray          # (M,) |xi|
+    weights: np.ndarray          # (M,) weight onto source = V_neighbor * partial volume factor
+    reverse_weights: np.ndarray  # (M,) weight onto neighbor = V_source * partial volume factor
+    mu: np.ndarray               # (M,) bond intactness, starts at 1
+    accum: np.ndarray            # (M,) graded-breakage accumulator, starts at 0
     delta: float
     spacing: float
+    n_points: int
 
     @property
     def n_bonds(self) -> int:
+        """Number of bond pairs; each point sees twice as many bond ends."""
         return self.source.shape[0]
 
+    def per_point(self, at_source, at_neighbor):
+        """Per-point sums of per-pair values, one value for each end of a pair."""
+        n = self.n_points
+        return (np.bincount(self.source, weights=at_source, minlength=n)
+                + np.bincount(self.neighbors, weights=at_neighbor, minlength=n))
+
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.per_point(None, None)
 
     def damage(self) -> np.ndarray:
         """Per-point damage 1 - sum(mu w)/sum(w); zero for empty horizons."""
-        n = self.offsets.shape[0] - 1
-        wsum = np.bincount(self.source, weights=self.weights, minlength=n)
-        intact = np.bincount(self.source, weights=self.mu * self.weights, minlength=n)
+        wsum = self.per_point(self.weights, self.reverse_weights)
+        intact = self.per_point(self.mu * self.weights, self.mu * self.reverse_weights)
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = 1.0 - intact / wsum
         return np.where(wsum > 0.0, phi, 0.0)
+
+    def bonds_of(self, point):
+        """The bonds of one point as seen from it, ordered by the other end.
+
+        Returns (rows, others, xi, weights): the pair rows, the other point
+        of each, the separation from `point` to it (the stored xi, negated
+        where `point` is the neighbors end) and the weight onto `point`.
+        """
+        below = np.flatnonzero(self.neighbors == point)
+        above = np.flatnonzero(self.source == point)
+        return (
+            np.concatenate([below, above]),
+            np.concatenate([self.source[below], self.neighbors[above]]),
+            np.concatenate([-self.xi[below], self.xi[above]]),
+            np.concatenate([self.reverse_weights[below], self.weights[above]]),
+        )
 
 
 def build_grid(box, spacing, density, periodic=None) -> PointCloud:
@@ -178,7 +205,7 @@ def minimum_image(diff, box, periodic):
 
 
 def neighbor_pairs(positions, delta, box, periodic):
-    """All unordered pairs with minimum-image distance 0 < d <= delta.
+    """All unordered pairs with minimum-image distance 0 <= d <= delta.
 
     Returns (pairs, diff, dist): pairs is (P, 2) int with i < j, diff is the
     minimum-image separation positions[j] - positions[i]. Backed by a k-d tree
@@ -216,7 +243,7 @@ def neighbor_pairs(positions, delta, box, periodic):
     order = np.lexsort((raw[:, 1], raw[:, 0]))
     pairs = raw[order].astype(np.int64)
     diff = minimum_image(positions[pairs[:, 1]] - positions[pairs[:, 0]], box, periodic)
-    dist = np.linalg.norm(diff, axis=1)
+    dist = lengths(diff)
     keep = dist <= delta * (1.0 + 1e-9)
     return pairs[keep], diff[keep], dist[keep]
 
@@ -226,9 +253,7 @@ def directed_pairs(positions, delta, box, periodic):
 
     Returns (source, neighbors, xi, dist) for bonds with 0 <= d <= delta,
     coincident pairs included — callers decide whether coincidence is an
-    error. The ordering and arithmetic here are the single authority for
-    bond traversal, shared by the reference bond network and the geometric
-    (current-configuration) neighbor searches.
+    error. The zero-memory fluid force searches the current shape with it.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -239,13 +264,50 @@ def directed_pairs(positions, delta, box, periodic):
     return source[order], neighbors[order], xi[order], dist[order]
 
 
-def build_bonds(cloud: PointCloud, horizon: HorizonConfig) -> BondNetwork:
-    """Construct the directed bond network for a point cloud.
+def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNetwork:
+    """Bond pairs of the points of a cloud placed at `positions`.
 
-    Bonds satisfy 0 < |xi| <= delta with minimum-image separations on
-    periodic axes. Weights are neighbor volume times the partial-volume
-    factor (when enabled). Horizons that fail to reach the nearest neighbor
-    produce a warning, not an error.
+    Pairs satisfy 0 < |xi| <= delta with minimum-image separations on
+    periodic axes; each carries the volume of its other end times the
+    partial-volume factor (when enabled) as the weight onto either end.
+    Coincident points raise SingularConfigurationError. The reference
+    network and the remembered-shape networks of memory runs both come
+    from here.
+    """
+    delta = horizon.delta
+    pairs, xi, xi_norm = neighbor_pairs(positions, delta, cloud.box, cloud.periodic)
+    source, neighbors = pairs[:, 0].copy(), pairs[:, 1].copy()
+    if np.any(xi_norm == 0.0):
+        k = int(np.flatnonzero(xi_norm == 0.0)[0])
+        raise SingularConfigurationError(
+            f"points {int(source[k])} and {int(neighbors[k])} coincide"
+        )
+    weights = cloud.volumes[neighbors]
+    reverse_weights = cloud.volumes[source]
+    if horizon.partial_volume == "linear" and xi_norm.size:
+        taper = partial_volume_factor(xi_norm, cloud.spacing, delta)
+        weights *= taper
+        reverse_weights *= taper
+    return BondNetwork(
+        source=source,
+        neighbors=neighbors,
+        xi=xi,
+        xi_norm=xi_norm,
+        weights=weights,
+        reverse_weights=reverse_weights,
+        mu=np.ones(source.shape[0]),
+        accum=np.zeros(source.shape[0]),
+        delta=float(delta),
+        spacing=cloud.spacing,
+        n_points=cloud.n_points,
+    )
+
+
+def build_bonds(cloud: PointCloud, horizon: HorizonConfig) -> BondNetwork:
+    """Construct the reference bond network of a point cloud.
+
+    Coincident reference points are a ConfigError. Horizons that fail to
+    reach the nearest neighbor produce a warning, not an error.
     """
     delta = horizon.delta
     if delta < cloud.spacing:
@@ -254,38 +316,15 @@ def build_bonds(cloud: PointCloud, horizon: HorizonConfig) -> BondNetwork:
             "neighbor lists may be empty",
             stacklevel=2,
         )
-
-    source, neighbors, xi, xi_norm = directed_pairs(
-        cloud.positions, delta, cloud.box, cloud.periodic
-    )
-    if np.any(xi_norm == 0.0):
-        k = int(np.flatnonzero(xi_norm == 0.0)[0])
-        raise ConfigError(
-            f"coincident reference points {int(source[k])} and {int(neighbors[k])}"
-        )
-
-    weights = cloud.volumes[neighbors].copy()
-    if horizon.partial_volume == "linear" and xi_norm.size:
-        weights *= partial_volume_factor(xi_norm, cloud.spacing, delta)
-
-    counts = np.bincount(source, minlength=cloud.n_points)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    if np.any(counts == 0):
+    try:
+        bonds = pair_network(cloud, horizon, cloud.positions)
+    except SingularConfigurationError as exc:
+        raise ConfigError(f"coincident reference points: {exc}") from None
+    empty = int(np.count_nonzero(bonds.degrees() == 0))
+    if empty:
         warnings.warn(
-            f"{int(np.sum(counts == 0))} point(s) have empty horizons "
+            f"{empty} point(s) have empty horizons "
             f"(delta = {delta}, spacing = {cloud.spacing})",
             stacklevel=2,
         )
-
-    return BondNetwork(
-        offsets=offsets,
-        source=source,
-        neighbors=neighbors,
-        xi=xi,
-        xi_norm=xi_norm,
-        weights=weights,
-        mu=np.ones(source.shape[0]),
-        accum=np.zeros(source.shape[0]),
-        delta=float(delta),
-        spacing=cloud.spacing,
-    )
+    return bonds

@@ -14,7 +14,13 @@ import math
 import numpy as np
 
 from . import dynamics
-from .discretization import HorizonConfig, PointCloud, directed_pairs, partial_volume_factor
+from .discretization import (
+    HorizonConfig,
+    PointCloud,
+    directed_pairs,
+    pair_network,
+    partial_volume_factor,
+)
 from .errors import ConfigError, SimulationError, SingularConfigurationError
 
 MEMORY_MODES = ("infinite", "finite", "zero")
@@ -93,21 +99,15 @@ def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
     return fs
 
 
-def _geometric_bond_table(positions, cloud, horizon):
-    """Directed in-horizon pairs of a configuration, with quadrature weights."""
-    source, neighbors, xi, dist = directed_pairs(
-        positions, horizon.delta, cloud.box, cloud.periodic
-    )
-    if np.any(dist == 0.0):
-        k = int(np.flatnonzero(dist == 0.0)[0])
-        raise SingularConfigurationError(
-            f"particles {int(source[k])} and {int(neighbors[k])} coincide "
-            "in the deformed configuration"
-        )
-    weights = cloud.volumes[neighbors].copy()
-    if horizon.partial_volume == "linear" and dist.size:
-        weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
-    return source, neighbors, xi, dist, weights
+def _remembered_bonds(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig):
+    """The remembered shape and the bond pairs rediscovered in it."""
+    if memory.mode == "zero":
+        raise ConfigError("zero-memory runs use fluid_force, not memory_force")
+    if memory.mode == "infinite":
+        ref = state.reference
+    else:
+        ref = state.remembered(state.step - state.stride)
+    return ref, pair_network(cloud, horizon, ref)
 
 
 def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon: HorizonConfig):
@@ -118,31 +118,8 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
     accumulated since. With infinite memory this equals the reference-network
     internal force of the solid theory.
     """
-    if memory.mode == "zero":
-        raise ConfigError("zero-memory runs use fluid_force, not memory_force")
-    if memory.mode == "infinite":
-        ref = state.reference
-    else:
-        ref = state.remembered(state.step - state.stride)
-    source, neighbors, xi, dist, weights = _geometric_bond_table(ref, cloud, horizon)
-    eta = (state.positions[neighbors] - ref[neighbors]) - (
-        state.positions[source] - ref[source]
-    )
-    f = model.force(xi, eta)
-    return dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
-
-
-def _memory_potential(cloud, state, model, memory, horizon):
-    if memory.mode == "infinite":
-        ref = state.reference
-    else:
-        ref = state.remembered(state.step - state.stride)
-    source, neighbors, xi, dist, weights = _geometric_bond_table(ref, cloud, horizon)
-    eta = (state.positions[neighbors] - ref[neighbors]) - (
-        state.positions[source] - ref[source]
-    )
-    phi = np.asarray(model.potential(xi, eta), dtype=float)
-    return 0.5 * float(np.sum(phi * weights * cloud.volumes[source]))
+    ref, bonds = _remembered_bonds(cloud, state, memory, horizon)
+    return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
@@ -155,9 +132,18 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     state.velocities (used for the half-step evaluation of the integrator).
     """
     v = state.velocities if velocities is None else velocities
-    source, neighbors, xi, dist, weights = _geometric_bond_table(
-        state.positions, cloud, horizon
+    source, neighbors, xi, dist = directed_pairs(
+        state.positions, horizon.delta, cloud.box, cloud.periodic
     )
+    if np.any(dist == 0.0):
+        k = int(np.flatnonzero(dist == 0.0)[0])
+        raise SingularConfigurationError(
+            f"particles {int(source[k])} and {int(neighbors[k])} coincide "
+            "in the deformed configuration"
+        )
+    weights = cloud.volumes[neighbors].copy()
+    if horizon.partial_volume == "linear" and dist.size:
+        weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
     dv = v[neighbors] - v[source]
     if memory.fluid_kernel == "linear":
         n = xi / dist[:, None]
@@ -220,7 +206,8 @@ def run_fluid(
     def series_row():
         kin = dynamics.kinetic_energy(cloud, fs.velocities)
         if memory.mode == "finite":
-            pot = _memory_potential(cloud, fs, model, memory, horizon)
+            ref, bonds = _remembered_bonds(cloud, fs, memory, horizon)
+            pot = dynamics.potential_energy(cloud, bonds, model, fs.positions - ref)
         else:
             pot = 0.0
         p = dynamics.momentum(cloud, fs.velocities)

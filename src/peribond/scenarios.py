@@ -54,12 +54,13 @@ class SimSetup:
 def linearized_modulus(cloud, bonds, model, point=0, axis=0):
     """Effective small-strain modulus of the bond network at one point.
 
-    E = (1/2) sum_j w_j C(r_j) xi_j_axis^2 over the directed bonds of the
-    point; the long-wave speed of the discrete operator is sqrt(E / rho).
+    E = (1/2) sum_j w_j C(r_j) xi_j_axis^2 over the bonds at the point, at
+    either end of their pair; the long-wave speed of the discrete operator
+    is sqrt(E / rho).
     """
-    mask = bonds.source == point
-    c = model.stiffness0(bonds.xi_norm[mask])
-    return 0.5 * float(np.sum(bonds.weights[mask] * c * bonds.xi[mask, axis] ** 2))
+    rows, _, xi, w = bonds.bonds_of(point)
+    c = model.stiffness0(bonds.xi_norm[rows])
+    return 0.5 * float(np.sum(w * c * xi[:, axis] ** 2))
 
 
 def build_bar_wave(
@@ -120,7 +121,7 @@ def build_bar_wave(
 
 def _seed_crack(cloud, bonds, y_c, x0, x1):
     """Zero out bonds whose reference segment crosses the seam y = y_c,
-    x in [x0, x1]. Returns the count of directed bonds cut."""
+    x in [x0, x1]. Returns the count of bond pairs cut."""
     pos_i = cloud.positions[bonds.source]
     pos_j = pos_i + bonds.xi
     yi = pos_i[:, 1] - y_c

@@ -113,14 +113,16 @@ def test_directed_pairs_double_and_sort():
 def test_build_bonds_layout_and_weights():
     cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
     bonds = build_bonds(cloud, HorizonConfig(0.3))
-    assert bonds.offsets[0] == 0
-    assert bonds.offsets[-1] == bonds.n_bonds
-    assert np.all(np.diff(bonds.offsets) == bonds.degrees())
+    # each of the 3 adjacent pairs once, sorted, lower index first
+    assert bonds.source.tolist() == [0, 1, 2]
+    assert bonds.neighbors.tolist() == [1, 2, 3]
+    assert bonds.degrees().tolist() == [1, 2, 2, 1]
     assert np.all(bonds.mu == 1.0)
     assert np.allclose(bonds.damage(), 0.0)
     # adjacent bonds (r = 0.25) sit past the taper onset delta - h/2 = 0.175,
     # so each carries volume 0.25 times coverage (0.3 + 0.125 - 0.25) / 0.25
     assert np.allclose(bonds.weights, 0.25 * 0.7)
+    assert np.allclose(bonds.reverse_weights, 0.25 * 0.7)
 
 
 def test_build_bonds_no_partial_volume():

@@ -70,7 +70,7 @@ def test_bond_stretches():
     cloud = two_point_cloud()
     bonds = build_bonds(cloud, HorizonConfig(0.6))
     u = np.array([[0.0], [0.25]])  # bond stretched from 0.5 to 0.75
-    assert np.allclose(bond_stretches(bonds, u), [0.5, 0.5])
+    assert np.allclose(bond_stretches(bonds, u), [0.5])
 
 
 def test_internal_force_balances():
@@ -141,9 +141,9 @@ def test_energy_functions():
     assert kinetic_energy(cloud, v) == 1.0
     assert np.allclose(momentum(cloud, v), 0.0)
     u = np.array([[0.0], [0.5]])  # stretch 1: phi = c s^2 r / 2 = 0.25
-    # pair counted once: 0.5 * (2 bonds) * phi * w * V = 0.25 * 0.25 * 2 * 0.5
+    # pair counted once: phi * w * V = 0.25 * 0.5 * 0.5
     assert potential_energy(cloud, bonds, model, u) == pytest.approx(
-        0.5 * 2.0 * 0.25 * 0.5 * 0.5)
+        0.25 * 0.5 * 0.5)
 
 
 def test_run_series_layout():

@@ -157,7 +157,7 @@ def valid_model(draw, family, dim):
 
 
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), dim=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_axioms_hold_for_random_parameters(family, data, dim, seed):
     model = data.draw(valid_model(family, dim))

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peribond.errors import ConfigError, SingularConfigurationError
 from peribond.kernels import (
@@ -250,6 +252,40 @@ def test_per_bond_thresholds_override_s0():
     update_breaker(breaker, np.array([0.3, 0.3]), 0.01, mu, accum,
                    thresholds=np.array([0.25, 0.35]))
     assert np.allclose(mu, [0.0, 1.0])
+
+
+S0 = 0.05
+N_BONDS = 12
+stretch_histories = st.lists(
+    st.lists(st.one_of(st.floats(-0.5, 0.5), st.just(S0)),
+             min_size=N_BONDS, max_size=N_BONDS),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=60)
+@given(law=st.sampled_from(["critical-stretch", "theta-eps", "anti-plane-shear"]),
+       history=stretch_histories, dt=st.floats(1e-3, 0.5), seed=st.integers(0, 2**16))
+def test_breaker_is_monotone_and_counts_its_changes(law, history, dt, seed):
+    # from any damage state, a step never heals a bond or drains its
+    # accumulator, and the return value counts exactly the mu entries it moved
+    rng = np.random.default_rng(seed)
+    thresholds = None
+    if law == "anti-plane-shear":
+        model = AntiPlaneShear(c=1.0, u_star=S0 * 0.5, delta=1.0)
+        breaker = model.breaker
+        thresholds = model.breaker_thresholds(rng.uniform(0.2, 1.0, N_BONDS))
+    else:
+        breaker = BondBreaker(law, s0=S0, eps=0.02)
+    mu = np.where(rng.random(N_BONDS) < 0.3, rng.choice([0.0, 1.0], N_BONDS),
+                  rng.uniform(0.0, 1.0, N_BONDS))
+    accum = rng.uniform(0.0, 0.03, N_BONDS)
+    for stretch in history:
+        mu_before, accum_before = mu.copy(), accum.copy()
+        changed = update_breaker(breaker, np.array(stretch), dt, mu, accum, thresholds)
+        assert np.all(mu <= mu_before)
+        assert np.all(accum >= accum_before)
+        assert changed == np.count_nonzero(mu != mu_before)
 
 
 def test_axiom_sweep_all_families():

@@ -1,0 +1,168 @@
+"""The pair bond network against directed references, under hypothesis.
+
+The network stores each unordered bond pair once and scatters its force onto
+both ends. The oracle below uses directed bonds instead: every pair in both
+directions from discretization.directed_pairs, each bond weighted by its
+neighbor's volume, the kernel called on every directed bond and the results
+summed per source point. The neighbor search itself is checked against an
+O(N^2) minimum-image brute force.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from peribond import HorizonConfig, build_bonds, build_grid
+from peribond.discretization import (
+    directed_pairs,
+    neighbor_pairs,
+    partial_volume_factor,
+)
+from peribond.dynamics import internal_force, potential_energy, stable_dt
+from peribond.kernels import default_models
+
+REL_TOL = 1e-12
+SLACK = 1.0 + 1e-9  # horizon slack documented by neighbor_pairs
+
+
+def rel_err(got, want):
+    scale = float(np.max(np.abs(want)))
+    return float(np.max(np.abs(np.asarray(got) - want))) / scale
+
+
+def directed_reference(cloud, horizon, model, u, mu_of):
+    """Force, potential, stable step and damage over directed bonds."""
+    n, dim = cloud.n_points, cloud.dim
+    source, neighbors, xi, dist = directed_pairs(cloud.positions, horizon.delta,
+                                                 cloud.box, cloud.periodic)
+    weights = cloud.volumes[neighbors].copy()
+    if horizon.partial_volume == "linear":
+        weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
+    mu = mu_of(source, neighbors)
+    eta = u[neighbors] - u[source]
+
+    f = model.force(xi, eta, mu) * weights[:, None]
+    force = np.column_stack([np.bincount(source, weights=f[:, k], minlength=n)
+                             for k in range(dim)])
+    phi = model.potential(xi, eta, mu)
+    potential = 0.5 * float(np.sum(phi * weights * cloud.volumes[source]))
+    stiffness = np.bincount(source, weights=weights * model.stiffness0(dist), minlength=n)
+    dt = 0.5 * math.sqrt(2.0 * cloud.density / stiffness.max())
+    wsum = np.bincount(source, weights=weights, minlength=n)
+    damage = 1.0 - np.bincount(source, weights=mu * weights, minlength=n) / wsum
+    return source.size, force, potential, dt, damage
+
+
+@st.composite
+def lattices(draw):
+    """A small grid, its horizon and randomized volumes (nonuniform too)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(*{1: (4, 12), 2: (3, 7), 3: (3, 5)}[dim]))
+    periodic = tuple(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    m = draw(st.floats(1.0, 3.0))
+    if any(periodic):
+        m = min(m, 0.5 * n)  # minimum image needs delta <= half the box
+    h = 1.0 / n
+    cloud = build_grid((1.0,) * dim, h, 1.0, periodic=periodic)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        scale = np.random.default_rng(seed).uniform(0.5, 1.5, cloud.n_points)
+        cloud = dataclasses.replace(cloud, volumes=cloud.volumes * scale)
+    horizon = HorizonConfig(m * h, partial_volume=draw(st.sampled_from(["linear", "none"])))
+    return cloud, horizon
+
+
+@settings(max_examples=120)
+@given(lattice=lattices(), family=st.sampled_from(sorted(default_models())),
+       seed=st.integers(0, 2**16))
+def test_pair_network_matches_directed_reference(lattice, family, seed):
+    cloud, horizon = lattice
+    model = default_models(delta=horizon.delta, dim=cloud.dim)[family]
+    bonds = build_bonds(cloud, horizon)
+    assert np.all(bonds.source < bonds.neighbors)
+
+    rng = np.random.default_rng(seed)
+    u = 0.05 * cloud.spacing * rng.standard_normal(cloud.positions.shape)
+    bonds.mu[:] = rng.uniform(0.0, 1.0, bonds.n_bonds)
+    bonds.mu[rng.random(bonds.n_bonds) < 0.2] = 0.0
+    keys = bonds.source * cloud.n_points + bonds.neighbors
+
+    def mu_of(source, neighbors):
+        lo, hi = np.minimum(source, neighbors), np.maximum(source, neighbors)
+        return bonds.mu[np.searchsorted(keys, lo * cloud.n_points + hi)]
+
+    n_directed, force, potential, dt, damage = directed_reference(
+        cloud, horizon, model, u, mu_of)
+    assert 2 * bonds.n_bonds == n_directed
+    assert rel_err(internal_force(cloud, bonds, model, u), force) <= REL_TOL
+    assert rel_err(potential_energy(cloud, bonds, model, u), potential) <= REL_TOL
+    assert rel_err(stable_dt(cloud, bonds, model), dt) <= REL_TOL
+    assert np.max(np.abs(bonds.damage() - damage)) <= REL_TOL
+
+
+def brute_force_pairs(positions, delta, box, periodic):
+    """Every pair i < j within delta * SLACK, from all N^2 minimum images."""
+    n = positions.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    diff = positions[j] - positions[i]
+    for axis in np.flatnonzero(periodic):
+        diff[:, axis] -= box[axis] * np.round(diff[:, axis] / box[axis])
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    keep = dist <= delta * SLACK
+    return np.column_stack([i[keep], j[keep]]), diff[keep], dist[keep]
+
+
+# Probe separations as multiples of delta: exactly on it, a few ulps either
+# side, inside the documented slack, and past it.
+ULP_STEPS = (-3, -1, 0, 1, 3)
+INSIDE_SLACK, PAST_SLACK = 1.0 + 0.5e-9, 1.0 + 2e-9
+
+
+def ulps_off(x, k):
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=150)
+@given(dim=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**16),
+       n=st.integers(2, 40))
+def test_neighbor_pairs_match_brute_force(dim, data, seed, n):
+    periodic = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(seed)
+    box = rng.uniform(1.0, 2.0, dim)
+    delta = float(rng.uniform(0.1, 0.45) * box.min())
+    positions = rng.uniform(0.0, 1.0, (n, dim)) * box
+
+    # probes: a point at each listed separation from a random base point,
+    # along an axis, wrapped back into the box on periodic axes
+    separations = [ulps_off(delta, k) for k in ULP_STEPS]
+    separations += [delta * INSIDE_SLACK, delta * PAST_SLACK]
+    probes, bases = [], []
+    for length in separations:
+        base = int(rng.integers(n))
+        axis = rng.integers(dim)
+        p = positions[base].copy()
+        p[axis] += length if p[axis] < 0.5 * box[axis] else -length
+        p[periodic] = np.mod(p[periodic], box[periodic])
+        probes.append(p)
+        bases.append(base)
+    points = np.vstack([positions, probes])
+    # points off the box by whole periods must not matter on periodic axes
+    points = points + rng.integers(-1, 2, points.shape) * periodic * box
+
+    got_pairs, got_diff, got_dist = neighbor_pairs(points, delta, box, periodic)
+    want_pairs, want_diff, want_dist = brute_force_pairs(points, delta, box, periodic)
+    assert np.array_equal(got_pairs, want_pairs)
+    assert np.array_equal(got_diff, want_diff)
+    np.testing.assert_allclose(got_dist, want_dist, rtol=1e-15)
+
+    # probes on the horizon, a few ulps off it, or inside the slack are
+    # bonded to their base point; the probe past the slack is not
+    found = {tuple(p) for p in got_pairs.tolist()}
+    bonded = [(base, n + k) in found for k, base in enumerate(bases)]
+    assert bonded == [length != delta * PAST_SLACK for length in separations]
