@@ -10,6 +10,7 @@ from .discretization import (
 )
 from .dynamics import (
     ExternalLoad,
+    NetworkForce,
     RunResult,
     SimState,
     internal_force,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: run (reference-network dynamics), fluid-run (memory dynamics),
-convergence (horizon-refinement study), kernel-check (randomized axiom
-sweep), print-config (normalized config echo). Exit codes: 0 success,
-1 failed checks, 2 configuration errors, 3 runtime/simulation errors.
+Subcommands: run (reference-network dynamics), fluid-run (memory dynamics;
+with infinite memory it integrates the scenario's own bond network exactly as
+run does, seeded cracks included), convergence (horizon-refinement study),
+kernel-check (randomized axiom sweep), print-config (normalized config echo).
+Exit codes: 0 success, 1 failed checks, 2 configuration errors,
+3 runtime/simulation errors.
 """
 
 import argparse
@@ -76,18 +78,20 @@ def _execute(args, fluid: bool) -> int:
     outdir = outputs.resolve_output_dir(cfg.get("output", "directory"))
     writer = outputs.snapshot_writer(outdir, setup.cloud)
 
-    if not fluid:
-        if memory.mode != "infinite":
-            raise ConfigError(
-                "[memory] mode: the run command integrates the reference "
-                f"network; mode {memory.mode!r} needs fluid-run"
-            )
+    if memory.mode == "infinite":
+        # infinite memory is the solid theory: both subcommands run the
+        # scenario's own network, seeded cracks included
         if setup.bonds is None:
             raise ConfigError("run needs a bond network; none was built")
         result = dynamics.run(
             setup.cloud, setup.bonds, setup.model, setup.state, setup.dt,
             setup.n_steps, load=setup.load, record_every=setup.record_every,
             snapshot_every=setup.snapshot_every, on_snapshot=writer,
+        )
+    elif not fluid:
+        raise ConfigError(
+            "[memory] mode: the run command integrates the reference "
+            f"network; mode {memory.mode!r} needs fluid-run"
         )
     else:
         result = fluidpd.run_fluid(

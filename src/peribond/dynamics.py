@@ -4,7 +4,8 @@ rho u_tt(x, t) = sum over the horizon of f(xi, eta) weights + b(x, t),
 advanced with velocity Verlet. Each bond pair is evaluated once and its
 force scattered onto both ends in a fixed order (ascending source, then
 neighbor index), so repeated runs of the same configuration are bitwise
-reproducible.
+reproducible. One loop (integrate) serves every run: solids hand it a
+NetworkForce, and the memory modes of fluidpd their own force operator.
 """
 
 from dataclasses import dataclass, field
@@ -140,41 +141,70 @@ def stable_dt(cloud: PointCloud, bonds: BondNetwork, model, safety: float = 0.5)
     return safety * math.sqrt(2.0 * cloud.density / smax)
 
 
-def step_verlet(cloud, bonds, model, state: SimState, dt: float, load=None, force=None):
-    """Advance one velocity-Verlet step in place.
+class NetworkForce:
+    """Force operator of a fixed bond network: the solid theory.
+
+    The loop in integrate drives any object with these members. force(state,
+    v) is the internal force density, potential(state) the stored energy,
+    damage() the per-point broken fraction, and settle(state, dt) runs once
+    after each step and reports whether the last force went stale (here:
+    bonds broke). carry_force says whether the end-of-step force can serve as
+    the next step's incoming force; it cannot when the force depends on
+    velocity.
+    """
+
+    carry_force = True
+
+    def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
+        model.validate_dim(cloud.dim)
+        self.cloud, self.bonds, self.model = cloud, bonds, model
+
+    def force(self, state, v):
+        return internal_force(self.cloud, self.bonds, self.model, state.u)
+
+    def potential(self, state):
+        return potential_energy(self.cloud, self.bonds, self.model, state.u)
+
+    def damage(self):
+        return self.bonds.damage()
+
+    def settle(self, state, dt):
+        """Update damage once per step from the post-step stretches."""
+        bonds, model = self.bonds, self.model
+        breaker = model.breaker
+        if breaker is None or not breaker.active:
+            return False
+        s = bond_stretches(bonds, state.u)
+        thresholds = model.breaker_thresholds(bonds.xi_norm)
+        return update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds) > 0
+
+
+def step_verlet(cloud, op, state: SimState, dt: float, load=None, force=None):
+    """Advance one velocity-Verlet step in place under force operator op.
 
     force is the internal force at the incoming state (recomputed when None).
-    Damage states update once per step, after the second force evaluation,
-    from the post-step stretches. Returns the internal force consistent with
-    the outgoing state, for reuse as the next step's incoming force.
+    Returns the internal force consistent with the outgoing state, for reuse
+    as the next step's incoming force, or None when op cannot carry it.
     """
     if force is None:
-        force = internal_force(cloud, bonds, model, state.u)
+        force = op.force(state, state.v)
     inv_rho = 1.0 / cloud.density
     b = load.body_force(cloud.positions, state.t) if load is not None else 0.0
     v_half = state.v + (0.5 * dt * inv_rho) * (force + b)
     state.u += dt * v_half
-    t_new = state.t + dt
-    force_new = internal_force(cloud, bonds, model, state.u)
-    b_new = load.body_force(cloud.positions, t_new) if load is not None else 0.0
-    state.v = v_half + (0.5 * dt * inv_rho) * (force_new + b_new)
-    state.t = t_new
+    state.t += dt
     state.step += 1
-
-    breaker = model.breaker
-    if breaker is not None and breaker.active:
-        s = bond_stretches(bonds, state.u)
-        n_changed = update_breaker(
-            breaker, s, dt, bonds.mu, bonds.accum, model.breaker_thresholds(bonds.xi_norm)
-        )
-        if n_changed > 0:
-            # Bonds broke this step: refresh the cached force so the next
-            # step starts from the damaged network.
-            force_new = internal_force(cloud, bonds, model, state.u)
+    force_new = op.force(state, v_half)
+    b_new = load.body_force(cloud.positions, state.t) if load is not None else 0.0
+    state.v = v_half + (0.5 * dt * inv_rho) * (force_new + b_new)
 
     if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
         raise SimulationError(f"non-finite state detected at step {state.step}")
-    return force_new
+    stale = op.settle(state, dt)
+    if not op.carry_force:
+        return None
+    # when bonds broke this step the next step starts from the damaged network
+    return op.force(state, state.v) if stale else force_new
 
 
 def kinetic_energy(cloud: PointCloud, v: np.ndarray) -> float:
@@ -208,30 +238,29 @@ class RunResult:
     snapshots: list = field(default_factory=list)  # (step, SimState, damage)
 
 
-def _series_row(cloud, bonds, model, state):
+def _series_row(cloud, op, state):
     kin = kinetic_energy(cloud, state.v)
-    pot = potential_energy(cloud, bonds, model, state.u)
+    pot = op.potential(state)
     p = momentum(cloud, state.v)
     row = [state.t, kin, pot, kin + pot]
     row.extend(p.tolist())
-    row.append(float(np.mean(bonds.damage())))
+    row.append(float(np.mean(op.damage())))
     return row
 
 
-def run(
-    cloud,
-    bonds,
-    model,
-    state: SimState,
-    dt: float,
-    n_steps: int,
-    load=None,
-    record_every: int = 1,
-    snapshot_every: int = 0,
-    on_snapshot=None,
-    keep_snapshots: bool = False,
-) -> RunResult:
-    """Run n_steps of velocity Verlet, recording diagnostics at a cadence.
+def run(cloud, bonds, model, state: SimState, dt: float, n_steps: int, load=None,
+        record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
+        keep_snapshots: bool = False) -> RunResult:
+    """Run n_steps of velocity Verlet on the reference bond network."""
+    return integrate(cloud, NetworkForce(cloud, bonds, model), state, dt, n_steps, load,
+                     record_every, snapshot_every, on_snapshot, keep_snapshots)
+
+
+def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
+              record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
+              keep_snapshots: bool = False) -> RunResult:
+    """Run n_steps of velocity Verlet under force operator op, recording
+    diagnostics at a cadence.
 
     The series always contains the initial and final instants. Snapshots are
     emitted at step 0 and every snapshot_every steps when snapshot_every > 0,
@@ -243,14 +272,13 @@ def run(
         raise ConfigError(f"step count must be non-negative, got {n_steps}")
     if record_every < 1:
         raise ConfigError(f"record cadence must be >= 1, got {record_every}")
-    model.validate_dim(cloud.dim)
 
     cols = series_columns(cloud.dim)
-    rows = [_series_row(cloud, bonds, model, state)]
+    rows = [_series_row(cloud, op, state)]
     result = RunResult(columns=cols, series={}, state=state)
 
     def emit_snapshot(step):
-        damage = bonds.damage()
+        damage = op.damage()
         if on_snapshot is not None:
             on_snapshot(step, state, damage)
         if keep_snapshots:
@@ -261,9 +289,9 @@ def run(
 
     force = None
     for k in range(1, n_steps + 1):
-        force = step_verlet(cloud, bonds, model, state, dt, load=load, force=force)
+        force = step_verlet(cloud, op, state, dt, load=load, force=force)
         if k % record_every == 0 or k == n_steps:
-            rows.append(_series_row(cloud, bonds, model, state))
+            rows.append(_series_row(cloud, op, state))
         if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
             emit_snapshot(state.step)
 

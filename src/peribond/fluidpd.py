@@ -62,7 +62,6 @@ class FluidState:
     positions: np.ndarray   # (N, dim) current coordinates chi(t)
     velocities: np.ndarray  # (N, dim)
     reference: np.ndarray   # (N, dim) reference coordinates (pre-history shape)
-    t: float = 0.0
     step: int = 0
     stride: int = 0         # memory depth in steps (finite mode)
     _snaps: dict = field(default_factory=dict)
@@ -91,7 +90,6 @@ def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
         positions=cloud.positions + state.u,
         velocities=state.v.copy(),
         reference=cloud.positions,
-        t=state.t,
         step=state.step,
         stride=stride,
     )
@@ -129,7 +127,7 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     The second kernel argument is the velocity difference scaled by the
     memory coefficient, so the force depends on velocity differences only
     (Galilean invariant by construction). velocities optionally overrides
-    state.velocities (used for the half-step evaluation of the integrator).
+    state.velocities.
     """
     v = state.velocities if velocities is None else velocities
     source, neighbors, xi, dist = directed_pairs(
@@ -155,104 +153,71 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     return dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
 
 
-def run_fluid(
-    cloud,
-    horizon: HorizonConfig,
-    model,
-    memory: MemoryConfig,
-    state: dynamics.SimState,
-    dt: float,
-    n_steps: int,
-    load=None,
-    record_every: int = 1,
-    snapshot_every: int = 0,
-    on_snapshot=None,
-    keep_snapshots: bool = False,
-) -> dynamics.RunResult:
-    """Advance the memory dynamics, emitting the same series as a solid run.
+class MemoryForce:
+    """Force operator of the finite- and zero-memory dynamics.
 
-    infinite memory delegates to the solid integrator on the reference bond
-    network (bit-for-bit the same trajectory). finite memory rediscovers
-    bonds against the trailing shape each evaluation. zero memory advects
+    Each evaluation lifts the loop's displacement state onto current
+    coordinates (cloud.positions + u) in one FluidState; finite memory pushes
+    every step's shape into its ring buffer. The zero-memory force depends on
+    velocity, so the loop cannot carry it over to the next step.
+    """
+
+    def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
+                 state: dynamics.SimState, dt: float):
+        stride = max(1, int(round(memory.s / dt))) if memory.mode == "finite" else 0
+        self.cloud, self.horizon, self.model, self.memory = cloud, horizon, model, memory
+        self.carry_force = memory.mode == "finite"
+        self.fs = fluid_state(cloud, state, stride=stride)
+
+    def _lift(self, state, v):
+        fs = self.fs
+        fs.positions = self.cloud.positions + state.u
+        fs.velocities = v
+        fs.step = state.step
+        return fs
+
+    def force(self, state, v):
+        fs = self._lift(state, v)
+        if self.memory.mode == "zero":
+            return fluid_force(self.cloud, fs, self.memory, self.horizon, model=self.model)
+        return memory_force(self.cloud, fs, self.model, self.memory, self.horizon)
+
+    def potential(self, state):
+        """Elastic energy against the remembered shape; the viscous kernel
+        of zero memory stores none."""
+        if self.memory.mode == "zero":
+            return 0.0
+        fs = self._lift(state, state.v)
+        ref, bonds = _remembered_bonds(self.cloud, fs, self.memory, self.horizon)
+        return dynamics.potential_energy(self.cloud, bonds, self.model, fs.positions - ref)
+
+    def damage(self):
+        return np.zeros(self.cloud.n_points)
+
+    def settle(self, state, dt):
+        if self.memory.mode == "finite":
+            self._lift(state, state.v).push_snapshot()
+        return False
+
+
+def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
+              state: dynamics.SimState, dt: float, n_steps: int, load=None,
+              record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
+              keep_snapshots: bool = False) -> dynamics.RunResult:
+    """Advance the memory dynamics through the solid run's loop and series.
+
+    infinite memory runs the solid integrator on the reference bond network
+    (bit-for-bit the same trajectory). finite memory rediscovers bonds
+    against the trailing shape each evaluation. zero memory advects
     particles under the velocity-difference kernel; its potential column is
     zero (the viscous kernel stores no elastic energy).
     """
+    options = dict(load=load, record_every=record_every, snapshot_every=snapshot_every,
+                   on_snapshot=on_snapshot, keep_snapshots=keep_snapshots)
     if memory.mode == "infinite":
         from .discretization import build_bonds
 
         bonds = build_bonds(cloud, horizon)
-        return dynamics.run(
-            cloud, bonds, model, state, dt, n_steps,
-            load=load, record_every=record_every, snapshot_every=snapshot_every,
-            on_snapshot=on_snapshot, keep_snapshots=keep_snapshots,
-        )
-
-    if n_steps < 0:
-        raise ConfigError(f"step count must be non-negative, got {n_steps}")
-    if record_every < 1:
-        raise ConfigError(f"record cadence must be >= 1, got {record_every}")
-    if memory.mode == "finite":
-        stride = max(1, int(round(memory.s / dt)))
-    else:
-        stride = 0
-    fs = fluid_state(cloud, state, stride=stride)
-    inv_rho = 1.0 / cloud.density
-
-    def force_at(velocities):
-        if memory.mode == "finite":
-            return memory_force(cloud, fs, model, memory, horizon)
-        return fluid_force(cloud, fs, memory, horizon, model=model, velocities=velocities)
-
-    def series_row():
-        kin = dynamics.kinetic_energy(cloud, fs.velocities)
-        if memory.mode == "finite":
-            ref, bonds = _remembered_bonds(cloud, fs, memory, horizon)
-            pot = dynamics.potential_energy(cloud, bonds, model, fs.positions - ref)
-        else:
-            pot = 0.0
-        p = dynamics.momentum(cloud, fs.velocities)
-        return [fs.t, kin, pot, kin + pot, *p.tolist(), 0.0]
-
-    def sync_state():
-        state.u = fs.positions - fs.reference
-        state.v = fs.velocities
-        state.t = fs.t
-        state.step = fs.step
-
-    cols = dynamics.series_columns(cloud.dim)
-    rows = [series_row()]
-    result = dynamics.RunResult(columns=cols, series={}, state=state)
-    damage = np.zeros(cloud.n_points)
-
-    def emit_snapshot():
-        sync_state()
-        if on_snapshot is not None:
-            on_snapshot(fs.step, state, damage)
-        if keep_snapshots:
-            result.snapshots.append((fs.step, state.copy(), damage))
-
-    if snapshot_every > 0 or n_steps == 0:
-        emit_snapshot()
-
-    for k in range(1, n_steps + 1):
-        b = load.body_force(cloud.positions, fs.t) if load is not None else 0.0
-        a0 = (force_at(fs.velocities) + b) * inv_rho
-        v_half = fs.velocities + 0.5 * dt * a0
-        fs.positions += dt * v_half
-        fs.t += dt
-        fs.step += 1
-        fs.push_snapshot()
-        b1 = load.body_force(cloud.positions, fs.t) if load is not None else 0.0
-        a1 = (force_at(v_half) + b1) * inv_rho
-        fs.velocities = v_half + 0.5 * dt * a1
-        if not (np.all(np.isfinite(fs.positions)) and np.all(np.isfinite(fs.velocities))):
-            raise SimulationError(f"non-finite state detected at step {fs.step}")
-        if k % record_every == 0 or k == n_steps:
-            rows.append(series_row())
-        if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            emit_snapshot()
-
-    sync_state()
-    table = np.asarray(rows)
-    result.series = {name: table[:, j] for j, name in enumerate(cols)}
-    return result
+        return dynamics.run(cloud, bonds, model, state, dt, n_steps, **options)
+    op = MemoryForce(cloud, horizon, model, memory, state, dt)
+    return dynamics.integrate(cloud, op, state, dt, n_steps, **options)

@@ -110,8 +110,9 @@ def test_criterion_03_two_body_oscillator():
     state.u[:, 0] = [-5e-4, 5e-4]
     trace = [state.u[1, 0] - state.u[0, 0]]
     times = [0.0]
+    op = dynamics.NetworkForce(cloud, bonds, model)
     for _ in range(3000):
-        dynamics.step_verlet(cloud, bonds, model, state, dt)
+        dynamics.step_verlet(cloud, op, state, dt)
         trace.append(state.u[1, 0] - state.u[0, 0])
         times.append(state.t)
     trace = np.asarray(trace)

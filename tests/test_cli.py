@@ -127,6 +127,19 @@ def test_fluid_run_executes_preset(tmp_path, monkeypatch, capsys):
     assert kin[-1] < kin[0]  # the shear layer loses energy immediately
 
 
+def test_fluid_run_with_infinite_memory_keeps_the_seeded_crack(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "p.cfg", "[time]\nsteps = 20\n")
+    series = {}
+    for command in ("run", "fluid-run"):
+        out = tmp_path / command
+        monkeypatch.setenv("PERIBOND_OUTPUT_DIR", str(out))
+        assert cli([command, "-c", cfg, "--preset", "plate2d-precrack"]) == 0
+        series[command] = (out / "series.csv").read_bytes()
+    assert series["run"] == series["fluid-run"]
+    header, rows = read_rows(tmp_path / "fluid-run" / "series.csv")
+    assert float(rows[0][header.index("damage_mean")]) > 0.0
+
+
 def test_io_failure_exits_3(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("occupied")

@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from peribond.config import (
     default_config,
     parse_config,
     print_config,
+    validate_config,
 )
 from peribond.errors import ConfigError
 
@@ -184,3 +186,80 @@ def test_runconfig_set_rejects_unknown():
         cfg.set("domain", "volume", 1.0)
     assert cfg != RunConfig(sections={})
     assert cfg != "not a config"
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True)  # includes inf
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+BY_CONSTRAINT = {
+    "must be positive": POSITIVE,
+    "must be non-negative": st.floats(min_value=0.0),
+    "": st.floats(allow_nan=False),
+}
+SPECIAL = {
+    ("kernel", "exponent"): st.integers(1, 20).map(lambda k: 2 * k + 1),
+    ("kernel", "p"): st.floats(min_value=2.0),
+    ("time", "dt"): st.one_of(st.just("auto"), POSITIVE),
+    ("time", "steps"): st.integers(0, 10**6),
+    ("time", "record_every"): st.integers(1, 10**4),
+    ("time", "safety"): st.floats(0.0, 1.0, exclude_min=True),
+    ("output", "directory"): st.text("abcxyz019_-./", min_size=1, max_size=16),
+    ("output", "snapshot_every"): st.integers(0, 10**4),
+    ("scenario", "m"): st.integers(2, 64),
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """A config as parse_config could return it: a preset overlay, then an
+    explicit value for every key print_config writes."""
+    preset = draw(st.sampled_from(SCHEMA["scenario"]["preset"].choices))
+    cfg = parse_config(f"[scenario]\npreset = {preset}\n")
+    dim = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(sorted(FAMILY_KEYS)))
+    memory = draw(st.sampled_from(SCHEMA["memory"]["mode"].choices))
+    breakers = SCHEMA["breaker"]["mode"].choices if memory == "infinite" else ("none",)
+    breaker = draw(st.sampled_from(breakers))
+    load = draw(st.sampled_from(SCHEMA["load"]["preset"].choices))
+    fixed = {
+        ("domain", "dim"): dim,
+        ("domain", "box"): tuple(draw(st.lists(POSITIVE, min_size=dim, max_size=dim))),
+        ("domain", "periodic"): tuple(draw(st.lists(st.booleans(), min_size=dim,
+                                                    max_size=dim))),
+        ("kernel", "family"): family,
+        ("memory", "mode"): memory,
+        ("breaker", "mode"): breaker,
+        ("load", "preset"): load,
+        ("load", "amplitude"): tuple(draw(st.lists(
+            st.floats(allow_nan=False), min_size=dim if load != "none" else 0,
+            max_size=dim))),
+    }
+    if family == "nonlinear-p":
+        fixed[("kernel", "alpha")] = draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                    exclude_max=True))
+    if breaker == "theta-eps":
+        fixed[("breaker", "eps")] = draw(POSITIVE)
+    if memory == "finite":
+        fixed[("memory", "s")] = draw(FINITE_POSITIVE)
+    for section, keys in SCHEMA.items():
+        for key, spec in keys.items():
+            if (section, key) == ("scenario", "preset"):
+                continue
+            if section == "kernel" and key not in FAMILY_KEYS[family] + ("family",):
+                continue  # not printed: keeps its preset or default value
+            if (section, key) in fixed:
+                value = fixed[(section, key)]
+            elif (section, key) in SPECIAL:
+                value = draw(SPECIAL[(section, key)])
+            elif spec.choices:
+                value = draw(st.sampled_from(spec.choices))
+            else:
+                value = draw(BY_CONSTRAINT[spec.constraint])
+            cfg.set(section, key, value)
+    return validate_config(cfg)
+
+
+@given(valid_configs())
+def test_round_trip_random_valid_configs(cfg):
+    text = print_config(cfg)
+    assert parse_config(text) == cfg
+    assert print_config(parse_config(text)) == text

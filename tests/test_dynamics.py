@@ -8,6 +8,7 @@ import pytest
 from peribond import (
     ExternalLoad,
     HorizonConfig,
+    NetworkForce,
     build_bonds,
     build_grid,
     internal_force,
@@ -123,11 +124,12 @@ def test_verlet_is_time_reversible():
     state.u[:, 0] = 1e-3 * np.sin(2.0 * math.pi * cloud.positions[:, 0])
     u0, v0 = state.u.copy(), state.v.copy()
     dt = stable_dt(cloud, bonds, model, safety=0.4)
+    op = NetworkForce(cloud, bonds, model)
     for _ in range(50):
-        step_verlet(cloud, bonds, model, state, dt)
+        step_verlet(cloud, op, state, dt)
     state.v = -state.v
     for _ in range(50):
-        step_verlet(cloud, bonds, model, state, dt)
+        step_verlet(cloud, op, state, dt)
     assert np.max(np.abs(state.u - u0)) < 1e-12
     assert np.max(np.abs(-state.v - v0)) < 1e-12
 
