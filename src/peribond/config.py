@@ -85,7 +85,7 @@ SCHEMA = {
         "center": Field("float", 0.5),
     },
     "time": {
-        "dt": Field("dt", "auto", constraint="must be positive or 'auto'"),
+        "dt": Field("dt", "auto", constraint="must be finite, positive or 'auto'"),
         "steps": Field("int", 100, constraint="must be non-negative",
                        check=lambda v: v >= 0),
         "record_every": Field("int", 1, constraint="must be at least 1",
@@ -172,7 +172,7 @@ def _parse_scalar(section, key, spec, raw, lineno):
             value = float(raw)
         except ValueError:
             raise fail(f"expected a number, got {raw!r}") from None
-        if spec.kind == "dt" and not value > 0.0:
+        if spec.kind == "dt" and not 0.0 < value < math.inf:
             raise fail(f"{spec.constraint}, got {raw}")
     elif spec.kind == "bool":
         if raw not in ("true", "false"):

@@ -9,9 +9,11 @@ separations.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import warnings
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, SingularConfigurationError
@@ -87,10 +89,25 @@ class BondNetwork:
         return self.source.shape[0]
 
     def per_point(self, at_source, at_neighbor):
-        """Per-point sums of per-pair values, one value for each end of a pair."""
+        """Per-point sums of per-pair values, one value for each end of a pair
+        (for sums outside the time loop; the force uses scatter)."""
         n = self.n_points
         return (np.bincount(self.source, weights=at_source, minlength=n)
                 + np.bincount(self.neighbors, weights=at_neighbor, minlength=n))
+
+    @cached_property
+    def scatter(self):
+        """Sparse (n_points, n_bonds) operator spreading per-pair values onto
+        both ends: column k holds w_ij at row source[k] and -w_ji at row
+        neighbors[k], so scatter @ f sums each point's terms in pair order.
+        Built on first use from the pair order, with no sort."""
+        m = self.n_bonds
+        rows = np.empty(2 * m, dtype=np.int32)
+        rows[0::2], rows[1::2] = self.source, self.neighbors
+        data = np.empty(2 * m)
+        data[0::2], data[1::2] = self.weights, -self.reverse_weights
+        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+        return csc_matrix((data, rows, indptr), shape=(self.n_points, m))
 
     def degrees(self) -> np.ndarray:
         return self.per_point(None, None)

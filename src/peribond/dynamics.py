@@ -2,10 +2,11 @@
 
 rho u_tt(x, t) = sum over the horizon of f(xi, eta) weights + b(x, t),
 advanced with velocity Verlet. Each bond pair is evaluated once and its
-force scattered onto both ends in a fixed order (ascending source, then
-neighbor index), so repeated runs of the same configuration are bitwise
-reproducible. One loop (integrate) serves every run: solids hand it a
-NetworkForce, and the memory modes of fluidpd their own force operator.
+force scattered onto both ends; each point sums its terms in pair order
+(pairs ascend by source, then neighbor index), so repeated runs of the same
+configuration are bitwise reproducible. One loop (integrate) serves every
+run: solids hand it a NetworkForce, and the memory modes of fluidpd their
+own force operator.
 """
 
 from dataclasses import dataclass, field
@@ -107,7 +108,7 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
     """Internal force density (force per unit volume) at every point.
 
     Each pair's force f acts as +f w_ij on its source and -f w_ji on its
-    neighbor.
+    neighbor, summed through the network's cached scatter operator.
     """
     model.validate_dim(cloud.dim)
     eta = _relative(bonds, u)
@@ -120,11 +121,7 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
         raise SingularConfigurationError(
             f"{model.family}: coincident deformed points on bond(s) {pairs}"
         ) from None
-    out = np.empty((cloud.n_points, f.shape[1]))
-    for k in range(f.shape[1]):
-        fk = f[:, k]
-        out[:, k] = bonds.per_point(fk * bonds.weights, -fk * bonds.reverse_weights)
-    return out
+    return bonds.scatter @ f
 
 
 def stable_dt(cloud: PointCloud, bonds: BondNetwork, model, safety: float = 0.5) -> float:
@@ -150,14 +147,14 @@ class NetworkForce:
     after each step and reports whether the last force went stale (here:
     bonds broke). carry_force says whether the end-of-step force can serve as
     the next step's incoming force; it cannot when the force depends on
-    velocity.
+    velocity. The model is bound to the network once, here.
     """
 
     carry_force = True
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
-        self.cloud, self.bonds, self.model = cloud, bonds, model
+        self.cloud, self.bonds, self.model = cloud, bonds, model.bind(bonds)
 
     def force(self, state, v):
         return internal_force(self.cloud, self.bonds, self.model, state.u)

@@ -97,14 +97,21 @@ def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
     return fs
 
 
-def _remembered_bonds(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig):
-    """The remembered shape and the bond pairs rediscovered in it."""
+def _remembered_bonds(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
+                      last=None):
+    """The remembered shape and the bond pairs rediscovered in it.
+
+    last is an earlier (shape, bonds) result, returned again when its shape
+    is the very array remembered now: a remembered shape never changes.
+    """
     if memory.mode == "zero":
         raise ConfigError("zero-memory runs use fluid_force, not memory_force")
     if memory.mode == "infinite":
         ref = state.reference
     else:
         ref = state.remembered(state.step - state.stride)
+    if last is not None and last[0] is ref:
+        return last
     return ref, pair_network(cloud, horizon, ref)
 
 
@@ -158,8 +165,10 @@ class MemoryForce:
 
     Each evaluation lifts the loop's displacement state onto current
     coordinates (cloud.positions + u) in one FluidState; finite memory pushes
-    every step's shape into its ring buffer. The zero-memory force depends on
-    velocity, so the loop cannot carry it over to the next step.
+    every step's shape into its ring buffer and keeps the last remembered
+    shape with its bonds, so the force and the energy of one step share one
+    search. The zero-memory force depends on velocity, so the loop cannot
+    carry it over to the next step.
     """
 
     def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
@@ -168,6 +177,7 @@ class MemoryForce:
         self.cloud, self.horizon, self.model, self.memory = cloud, horizon, model, memory
         self.carry_force = memory.mode == "finite"
         self.fs = fluid_state(cloud, state, stride=stride)
+        self._last = None
 
     def _lift(self, state, v):
         fs = self.fs
@@ -176,11 +186,16 @@ class MemoryForce:
         fs.step = state.step
         return fs
 
+    def _remembered(self, fs):
+        self._last = _remembered_bonds(self.cloud, fs, self.memory, self.horizon, self._last)
+        return self._last
+
     def force(self, state, v):
         fs = self._lift(state, v)
         if self.memory.mode == "zero":
             return fluid_force(self.cloud, fs, self.memory, self.horizon, model=self.model)
-        return memory_force(self.cloud, fs, self.model, self.memory, self.horizon)
+        ref, bonds = self._remembered(fs)
+        return dynamics.internal_force(self.cloud, bonds, self.model, fs.positions - ref)
 
     def potential(self, state):
         """Elastic energy against the remembered shape; the viscous kernel
@@ -188,7 +203,7 @@ class MemoryForce:
         if self.memory.mode == "zero":
             return 0.0
         fs = self._lift(state, state.v)
-        ref, bonds = _remembered_bonds(self.cloud, fs, self.memory, self.horizon)
+        ref, bonds = self._remembered(fs)
         return dynamics.potential_energy(self.cloud, bonds, self.model, fs.positions - ref)
 
     def damage(self):

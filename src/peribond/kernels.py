@@ -11,7 +11,9 @@ stretch s = (q - r)/r, unit vector n = (xi + eta)/q.
 """
 
 from dataclasses import dataclass
+import copy
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,29 +180,61 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None):
     return int(np.count_nonzero(changed))
 
 
+class _Binding(NamedTuple):
+    """Reference-bond data a bound model reuses on every call."""
+
+    xi: np.ndarray      # the network's separations, recognized by identity
+    r: np.ndarray       # |xi|
+    radial: object      # the family's r-only factor _radial(r)
+    inside: bool        # every r lies inside support_radius
+
+
 class KernelModel:
     """Shared contract of the bond force families.
 
     Every family is a central force f = coef(q, r) (xi + eta) with a scalar
-    potential phi(q, r), and supplies only its scalars: _coef(q, r, mu), the
-    force magnitude per unit deformed length; _phi(q, r, mu); and
-    _stiff0(r), d|f|/dq at q = r. Families without breakage ignore mu.
+    potential phi(q, r), and supplies only its scalars: _coef(q, r, k, mu),
+    the force magnitude per unit deformed length; _phi(q, r, k, mu); and
+    _stiff0(r), d|f|/dq at q = r. k = _radial(r) is the family's factor that
+    depends on r alone (the micro-modulus c(r) for PMB and rod, None for the
+    others). Families without breakage ignore mu.
     This class shapes the bond arrays, checks the geometry, resolves mu
     (None means intact) and zeroes every bond outside support_radius, which
     defaults to the family's delta.
+
+    bind(bonds) returns a copy tied to one bond network. Called with that
+    network's own xi array, the copy reuses |xi|, k and the support test it
+    computed once, and skips the gate when every bond lies inside the
+    support; any other xi takes the per-call path. Both paths do the same
+    arithmetic in the same order, so their results are bitwise equal.
     """
 
     needs_direction = False  # True when the force divides by the deformed length
     breaker = None
+    _binding = None
+
+    def bind(self, bonds):
+        """A copy of this model bound to the reference bonds of a network.
+
+        The network's xi and xi_norm must not change while the copy is used.
+        """
+        r = bonds.xi_norm
+        if np.any(r == 0.0):
+            raise ValueError(f"{self.family}: zero reference separation in bond array")
+        inside = bool(np.all(in_support(r, self.support_radius)))
+        bound = copy.copy(self)
+        object.__setattr__(bound, "_binding",
+                           _Binding(bonds.xi, r, self._radial(r), inside))
+        return bound
 
     def force(self, xi, eta, mu=None):
-        z, q, r, mu, single = self._bonds(xi, eta, mu)
-        f = self._gate(self._coef(q, r, mu), r)[:, None] * z
-        return f[0] if single else f
+        z, q, r, k, mu, single = self._bonds(xi, eta, mu)
+        z *= self._gate(self._coef(q, r, k, mu), r)[:, None]
+        return z[0] if single else z
 
     def potential(self, xi, eta, mu=None):
-        z, q, r, mu, single = self._bonds(xi, eta, mu)
-        phi = self._gate(self._phi(q, r, mu), r)
+        z, q, r, k, mu, single = self._bonds(xi, eta, mu)
+        phi = self._gate(self._phi(q, r, k, mu), r)
         return float(phi[0]) if single else phi
 
     def stiffness0(self, xi_norm):
@@ -223,17 +257,30 @@ class KernelModel:
         """Samples to skip in FD gradient checks (force discontinuities)."""
         return None
 
+    def _radial(self, r):
+        return None
+
     def _gate(self, values, r):
+        b = self._binding
+        if b is not None and r is b.r and b.inside:
+            return values
         return np.where(in_support(r, self.support_radius), values, 0.0)
 
     def _bonds(self, xi, eta, mu):
-        """Deformed bonds z, their lengths q and r, and mu (None: intact)."""
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z = xi + eta
+        """Deformed bonds z, their lengths q and r, k = _radial(r), and mu
+        (None: intact)."""
+        b = self._binding
+        if b is not None and xi is b.xi:
+            z = xi + eta
+            r, k, single = b.r, b.radial, False
+        else:
+            xi, eta, single = _as_bond_arrays(xi, eta)
+            z = xi + eta
+            r = lengths(xi)
+            if np.any(r == 0.0):
+                raise ValueError(f"{self.family}: zero reference separation in bond array")
+            k = self._radial(r)
         q = lengths(z)
-        r = lengths(xi)
-        if np.any(r == 0.0):
-            raise ValueError(f"{self.family}: zero reference separation in bond array")
         if self.needs_direction and np.any(q == 0.0):
             rows = np.flatnonzero(q == 0.0)[:8].tolist()
             raise SingularConfigurationError(
@@ -241,7 +288,7 @@ class KernelModel:
                 f"(bond row(s) {rows})"
             )
         mu = 1.0 if mu is None else np.asarray(mu, dtype=float)
-        return z, q, r, mu, single
+        return z, q, r, k, mu, single
 
 
 @dataclass(frozen=True)
@@ -275,10 +322,10 @@ class AntiPlaneShear(KernelModel):
     def breaker_thresholds(self, xi_norm):
         return self.u_star / np.asarray(xi_norm, dtype=float)
 
-    def _coef(self, q, r, mu):
+    def _coef(self, q, r, k, mu):
         return self.c * (q - r) * ((q - r) <= self.u_star) * mu / q
 
-    def _phi(self, q, r, mu):
+    def _phi(self, q, r, k, mu):
         return 0.5 * self.c * (q - r) ** 2 * ((q - r) <= self.u_star) * mu
 
     def _stiff0(self, r):
@@ -307,10 +354,10 @@ class QuadraticPotential(KernelModel):
         if not self.alpha > 0.0:
             raise ConfigError(f"quadratic alpha must be positive, got {self.alpha}")
 
-    def _coef(self, q, r, mu):
+    def _coef(self, q, r, k, mu):
         return 4.0 * self.alpha * (q**2 - r**2)
 
-    def _phi(self, q, r, mu):
+    def _phi(self, q, r, k, mu):
         return self.alpha * (q**2 - r**2) ** 2
 
     def _stiff0(self, r):
@@ -339,11 +386,14 @@ class PMB(KernelModel):
     def support_radius(self):
         return self.micro.delta
 
-    def _coef(self, q, r, mu):
-        return self.micro(r) * ((q - r) / r) * mu / q
+    def _radial(self, r):
+        return self.micro(r)
 
-    def _phi(self, q, r, mu):
-        return self.micro(r) * (q - r) ** 2 / (2.0 * r) * mu
+    def _coef(self, q, r, k, mu):
+        return k * ((q - r) / r) * mu / q
+
+    def _phi(self, q, r, k, mu):
+        return k * (q - r) ** 2 / (2.0 * r) * mu
 
     def _stiff0(self, r):
         return self.micro(r) / r
@@ -362,11 +412,14 @@ class ConstructiveRod(KernelModel):
     def support_radius(self):
         return self.micro.delta
 
-    def _coef(self, q, r, mu):
-        return self.micro(r) * (q - r) / r**2 / q
+    def _radial(self, r):
+        return self.micro(r)
 
-    def _phi(self, q, r, mu):
-        return self.micro(r) * (q - r) ** 2 / (2.0 * r**2)
+    def _coef(self, q, r, k, mu):
+        return k * (q - r) / r**2 / q
+
+    def _phi(self, q, r, k, mu):
+        return k * (q - r) ** 2 / (2.0 * r**2)
 
     def _stiff0(self, r):
         return self.micro(r) / r**2
@@ -394,10 +447,10 @@ class Convolution(KernelModel):
         if not self.c > 0.0:
             raise ConfigError(f"convolution coefficient must be positive, got {self.c}")
 
-    def _coef(self, q, r, mu):
+    def _coef(self, q, r, k, mu):
         return self.c * q ** (self.exponent - 1)
 
-    def _phi(self, q, r, mu):
+    def _phi(self, q, r, k, mu):
         return self.c * q ** (self.exponent + 1) / (self.exponent + 1)
 
     def _stiff0(self, r):
@@ -442,10 +495,10 @@ class NonlinearP(KernelModel):
     def _denom(self, r):
         return r ** (self.dim + self.alpha * self.p)
 
-    def _coef(self, q, r, mu):
+    def _coef(self, q, r, k, mu):
         return self.kappa * self.p * q ** (self.p - 2.0) / self._denom(r)
 
-    def _phi(self, q, r, mu):
+    def _phi(self, q, r, k, mu):
         return self.kappa * q**self.p / self._denom(r)
 
     def _stiff0(self, r):
@@ -475,14 +528,14 @@ class NanoMembrane(KernelModel):
         if not self.g > 0.0:
             raise ConfigError(f"{self.family} g must be positive, got {self.g}")
 
-    def _magnitude(self, q, r, mu):
+    def _magnitude(self, q, r, k, mu):
         ratio = q / r
         return (2.0 * self.c / r) * (ratio - ratio**-3) * self.g * mu
 
-    def _coef(self, q, r, mu):
-        return self._magnitude(q, r, mu) / q
+    def _coef(self, q, r, k, mu):
+        return self._magnitude(q, r, k, mu) / q
 
-    def _phi(self, q, r, mu):
+    def _phi(self, q, r, k, mu):
         # Antiderivative of the magnitude in q, shifted to vanish at q = r.
         return (self.c * self.g / r) * (q**2 / r + r**3 / q**2 - 2.0 * r) * mu
 
@@ -517,13 +570,13 @@ class NanoFiber(NanoMembrane):
         d = self.delta
         return self.vdw_a * (d / q) ** 12 - self.vdw_b * (d / q) ** 6
 
-    def _magnitude(self, q, r, mu):
+    def _magnitude(self, q, r, k, mu):
         d = self.delta
         vdw = -(12.0 * self.vdw_a / d) * (d / q) ** 13 + (6.0 * self.vdw_b / d) * (d / q) ** 7
-        return super()._magnitude(q, r, mu) + vdw
+        return super()._magnitude(q, r, k, mu) + vdw
 
-    def _phi(self, q, r, mu):
-        return super()._phi(q, r, mu) + (self._vdw_potential(q) - self._vdw_potential(r))
+    def _phi(self, q, r, k, mu):
+        return super()._phi(q, r, k, mu) + (self._vdw_potential(q) - self._vdw_potential(r))
 
     def _stiff0(self, r):
         d = self.delta

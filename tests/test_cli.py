@@ -105,6 +105,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli(["run", "-c", bad]) == 2
     assert "open interval (0, 1)" in capsys.readouterr().err
 
+    inf_dt = write(tmp_path, "inf.cfg", "[time]\ndt = inf\n")
+    assert cli(["run", "-c", inf_dt]) == 2
+    assert "[time] dt" in capsys.readouterr().err
+
     dup = write(tmp_path, "dup.cfg", "[time]\nsteps = 1\nsteps = 2\n")
     assert cli(["print-config", "-c", dup]) == 2
     assert "duplicate key" in capsys.readouterr().err

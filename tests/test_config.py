@@ -83,8 +83,9 @@ def test_scalar_errors_name_section_key_and_line():
 def test_dt_accepts_auto_or_positive():
     assert parse_config("[time]\ndt = auto\n").get("time", "dt") == "auto"
     assert parse_config("[time]\ndt = 0.25\n").get("time", "dt") == 0.25
-    with pytest.raises(ConfigError, match="positive or 'auto'"):
-        parse_config("[time]\ndt = 0\n")
+    for bad in ("0", "inf", "nan"):
+        with pytest.raises(ConfigError, match=r"\[time\] dt: must be finite, positive or 'auto'"):
+            parse_config(f"[time]\ndt = {bad}\n")
 
 
 def test_nonlinear_p_alpha_open_interval():
@@ -198,7 +199,7 @@ BY_CONSTRAINT = {
 SPECIAL = {
     ("kernel", "exponent"): st.integers(1, 20).map(lambda k: 2 * k + 1),
     ("kernel", "p"): st.floats(min_value=2.0),
-    ("time", "dt"): st.one_of(st.just("auto"), POSITIVE),
+    ("time", "dt"): st.one_of(st.just("auto"), FINITE_POSITIVE),
     ("time", "steps"): st.integers(0, 10**6),
     ("time", "record_every"): st.integers(1, 10**4),
     ("time", "safety"): st.floats(0.0, 1.0, exclude_min=True),

@@ -1,5 +1,7 @@
 """CSV writers: formatting, snapshot guards, directory resolution."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from peribond.outputs import (
     resolve_output_dir,
     snapshot_header,
     snapshot_writer,
+    write_series,
     write_snapshot,
 )
 
@@ -18,6 +21,24 @@ def test_fmt_is_17_significant_digits():
     assert fmt(0.1) == "0.10000000000000001"
     assert fmt(1.0) == "1"
     assert float(fmt(np.pi)) == np.pi
+
+
+def per_value_table(header, rows):
+    """The bytes of the writer that formatted value by value with fmt."""
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_series_bytes_match_the_per_value_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-300, 300, (40, 6))
+    table[0] = [-0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf]
+    table[1, :3] = [0.0, np.nan, 1.0]
+    columns = ["t", "kinetic", "potential", "total", "px", "damage_mean"]
+    result = SimpleNamespace(columns=columns,
+                             series={c: table[:, j] for j, c in enumerate(columns)})
+    with open(write_series(str(tmp_path), result), "rb") as fh:
+        assert fh.read() == per_value_table(columns, table)
 
 
 def test_resolve_output_dir(monkeypatch):

@@ -4,8 +4,10 @@ The network stores each unordered bond pair once and scatters its force onto
 both ends. The oracle below uses directed bonds instead: every pair in both
 directions from discretization.directed_pairs, each bond weighted by its
 neighbor's volume, the kernel called on every directed bond and the results
-summed per source point. The neighbor search itself is checked against an
-O(N^2) minimum-image brute force.
+summed per source point. The network's sparse scatter operator is checked
+against the bincount scatter it replaced, and a model bound to the network
+against the same model evaluated call by call. The neighbor search itself is
+checked against an O(N^2) minimum-image brute force.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond import HorizonConfig, build_bonds, build_grid
+from peribond import HorizonConfig, build_bonds, build_grid, kernels
 from peribond.discretization import (
     directed_pairs,
     neighbor_pairs,
@@ -54,6 +56,16 @@ def directed_reference(cloud, horizon, model, u, mu_of):
     wsum = np.bincount(source, weights=weights, minlength=n)
     damage = 1.0 - np.bincount(source, weights=mu * weights, minlength=n) / wsum
     return source.size, force, potential, dt, damage
+
+
+def bincount_scatter(bonds, f):
+    """Per-point sums of +f w_ij onto sources and -f w_ji onto neighbors,
+    one bincount per end and component."""
+    out = np.empty((bonds.n_points, f.shape[1]))
+    for k in range(f.shape[1]):
+        fk = f[:, k]
+        out[:, k] = bonds.per_point(fk * bonds.weights, -fk * bonds.reverse_weights)
+    return out
 
 
 @st.composite
@@ -97,10 +109,62 @@ def test_pair_network_matches_directed_reference(lattice, family, seed):
     n_directed, force, potential, dt, damage = directed_reference(
         cloud, horizon, model, u, mu_of)
     assert 2 * bonds.n_bonds == n_directed
-    assert rel_err(internal_force(cloud, bonds, model, u), force) <= REL_TOL
+    got = internal_force(cloud, bonds, model, u)
+    assert rel_err(got, force) <= REL_TOL
+    eta = u[bonds.neighbors] - u[bonds.source]
+    scattered = bincount_scatter(bonds, model.force(bonds.xi, eta, bonds.mu))
+    assert rel_err(got, scattered) <= REL_TOL
     assert rel_err(potential_energy(cloud, bonds, model, u), potential) <= REL_TOL
     assert rel_err(stable_dt(cloud, bonds, model), dt) <= REL_TOL
     assert np.max(np.abs(bonds.damage() - damage)) <= REL_TOL
+
+
+@settings(max_examples=120)
+@given(lattice=lattices(), family=st.sampled_from(sorted(default_models())),
+       support=st.sampled_from([1.0, 0.6]), seed=st.integers(0, 2**16))
+def test_bound_model_is_bitwise_the_unbound_model(lattice, family, support, seed):
+    # support 0.6 puts the outer bonds of most networks outside the kernel's
+    # support radius, so the bound path has to keep its gate
+    cloud, horizon = lattice
+    model = default_models(delta=support * horizon.delta, dim=cloud.dim)[family]
+    bonds = build_bonds(cloud, horizon)
+    bound = model.bind(bonds)
+    assert bound == model
+
+    rng = np.random.default_rng(seed)
+    eta = 0.05 * cloud.spacing * rng.standard_normal(bonds.xi.shape)
+    mu = rng.uniform(0.0, 1.0, bonds.n_bonds)
+    mu[rng.random(bonds.n_bonds) < 0.2] = 0.0
+    for m in (mu, None):
+        assert np.array_equal(bound.force(bonds.xi, eta, m), model.force(bonds.xi, eta, m))
+        assert np.array_equal(bound.potential(bonds.xi, eta, m),
+                              model.potential(bonds.xi, eta, m))
+    # a copy of xi is another array: the bound model takes the per-call path
+    assert np.array_equal(bound.force(bonds.xi.copy(), eta, mu),
+                          model.force(bonds.xi, eta, mu))
+
+
+def test_bound_model_skips_the_reference_lengths_and_keeps_its_gate(monkeypatch):
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(False, False))
+    bonds = build_bonds(cloud, HorizonConfig(3 * 0.125))
+    model = default_models(delta=0.2, dim=2)["pmb"]
+    assert np.any(bonds.xi_norm > model.support_radius)
+    bound = model.bind(bonds)
+    eta = 0.01 * np.random.default_rng(3).standard_normal(bonds.xi.shape)
+
+    calls, lengths = [], kernels.lengths
+
+    def counted(z):
+        calls.append(z.shape)
+        return lengths(z)
+
+    monkeypatch.setattr(kernels, "lengths", counted)
+    f = bound.force(bonds.xi, eta, bonds.mu)
+    assert len(calls) == 1  # the deformed lengths only
+    assert np.array_equal(f, model.force(bonds.xi, eta, bonds.mu))
+    assert len(calls) == 3
+    outside = bonds.xi_norm > model.support_radius * kernels.SUPPORT_SLACK
+    assert np.all(f[outside] == 0.0) and np.any(f[~outside] != 0.0)
 
 
 def brute_force_pairs(positions, delta, box, periodic):
