@@ -16,7 +16,7 @@ from .config import SCHEMA, parse_config, print_config
 from .diagnostics import delta_convergence
 from .errors import ConfigError, SimulationError
 from .kernels import default_models
-from .scenarios import materialize, memory_from_config
+from .scenarios import materialize
 
 
 def _build_parser():
@@ -74,15 +74,12 @@ def _load_config(args):
 def _execute(args, fluid: bool) -> int:
     cfg = _load_config(args)
     setup = materialize(cfg)
-    memory = setup.memory if setup.memory is not None else memory_from_config(cfg)
     outdir = outputs.resolve_output_dir(cfg.get("output", "directory"))
     writer = outputs.snapshot_writer(outdir, setup.cloud)
 
-    if memory.mode == "infinite":
+    if setup.memory.mode == "infinite":
         # infinite memory is the solid theory: both subcommands run the
         # scenario's own network, seeded cracks included
-        if setup.bonds is None:
-            raise ConfigError("run needs a bond network; none was built")
         result = dynamics.run(
             setup.cloud, setup.bonds, setup.model, setup.state, setup.dt,
             setup.n_steps, load=setup.load, record_every=setup.record_every,
@@ -91,11 +88,11 @@ def _execute(args, fluid: bool) -> int:
     elif not fluid:
         raise ConfigError(
             "[memory] mode: the run command integrates the reference "
-            f"network; mode {memory.mode!r} needs fluid-run"
+            f"network; mode {setup.memory.mode!r} needs fluid-run"
         )
     else:
         result = fluidpd.run_fluid(
-            setup.cloud, setup.horizon, setup.model, memory, setup.state,
+            setup.cloud, setup.horizon, setup.model, setup.memory, setup.state,
             setup.dt, setup.n_steps, load=setup.load,
             record_every=setup.record_every,
             snapshot_every=setup.snapshot_every, on_snapshot=writer,

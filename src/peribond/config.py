@@ -111,8 +111,6 @@ SCHEMA = {
                                  "fluid-shear")),
         "amplitude": Field("float", 1e-3, constraint="must be positive",
                            check=_positive),
-        "m": Field("int", 4, constraint="must be at least 2",
-                   check=lambda v: v >= 2),
         "periods": Field("float", 1.0, constraint="must be positive",
                          check=_positive),
         "v0": Field("float", 0.1, constraint="must be positive", check=_positive),
@@ -131,7 +129,28 @@ FAMILY_KEYS = {
     "nano-fiber": ("c", "g", "vdw_a", "vdw_b"),
 }
 
-SECTION_ORDER = tuple(SCHEMA)
+# keys of [scenario] that each preset reads, besides "preset"
+PRESET_KEYS = {
+    "none": (),
+    "bar1d-wave": ("amplitude", "periods"),
+    "plate2d-precrack": ("v0",),
+    "fluid-shear": ("v0",),
+}
+
+# section -> (selector key, {selector value: the other keys it reads}); an
+# explicit key its selector does not read is rejected, and print_config
+# omits it
+SELECTED_KEYS = {
+    "kernel": ("family", FAMILY_KEYS),
+    "breaker": ("mode", {"none": (), "critical-stretch": ("s0",),
+                         "theta-eps": ("s0", "eps")}),
+    "load": ("preset", {"none": (), "constant": ("amplitude",),
+                        "sinusoidal-in-x": ("amplitude", "wavelength"),
+                        "opposing-last-axis": ("amplitude", "center")}),
+    "memory": ("mode", {"infinite": (), "finite": ("s",),
+                        "zero": ("coefficient", "fluid_kernel")}),
+    "scenario": ("preset", PRESET_KEYS),
+}
 
 
 @dataclass
@@ -202,6 +221,15 @@ def _parse_scalar(section, key, spec, raw, lineno):
     return value
 
 
+def read_keys(cfg: RunConfig, section: str) -> tuple:
+    """The keys of section that cfg reads: those its selector value names,
+    or every key of a section without a selector."""
+    if section not in SELECTED_KEYS:
+        return tuple(SCHEMA[section])
+    selector, table = SELECTED_KEYS[section]
+    return (selector,) + table[cfg.get(section, selector)]
+
+
 def _nonlinear_alpha_ok(cfg):
     """alpha doubles as the quadratic coefficient; the open-interval bound
     applies only where the power-law family consumes it."""
@@ -266,12 +294,11 @@ def default_config() -> RunConfig:
     return RunConfig(sections)
 
 
-def parse_config(text: str, presets: dict = None, forced_preset: str = None) -> RunConfig:
+def parse_config(text: str, forced_preset: str = None) -> RunConfig:
     """Parse, overlay the scenario preset (explicit keys win), validate.
 
-    presets maps preset name -> {section: {key: value}} partial tables; the
-    scenario builders register theirs so a one-line config selects a full
-    experiment while any explicitly written key overrides the preset value.
+    The preset's table (scenarios.PRESET_CONFIGS) makes a one-line config
+    select a full experiment while any explicitly written key overrides it.
     forced_preset is the command-line preset flag; it conflicts with an
     explicit `[scenario] preset` line rather than silently losing to it.
     """
@@ -320,25 +347,24 @@ def parse_config(text: str, presets: dict = None, forced_preset: str = None) -> 
 
     cfg = default_config()
     preset_name = explicit.get(("scenario", "preset"), (None, 0))[0]
-    if presets is None:
+    if preset_name and preset_name != "none":
         from .scenarios import PRESET_CONFIGS
 
-        presets = PRESET_CONFIGS
-    if preset_name and preset_name != "none":
-        for psection, pkeys in presets[preset_name].items():
-            for pkey, pvalue in pkeys.items():
-                cfg.sections[psection][pkey] = pvalue
+        for psection, pkeys in PRESET_CONFIGS[preset_name].items():
+            cfg.sections[psection].update(pkeys)
     for (esection, ekey), (value, _) in explicit.items():
         cfg.sections[esection][ekey] = value
 
-    family = cfg.get("kernel", "family")
-    allowed = set(FAMILY_KEYS[family]) | {"family"}
     for (esection, ekey), (_, lineno) in explicit.items():
-        if esection == "kernel" and ekey not in allowed:
+        if ekey not in read_keys(cfg, esection):
+            selector, table = SELECTED_KEYS[esection]
+            value = cfg.get(esection, selector)
+            others = table[value]
+            allowed = (f"allowed keys: {', '.join(others)}" if others
+                       else f"{selector} {value!r} takes no other key")
             raise ConfigError(
-                f"[kernel] {ekey}: not accepted by family {family!r} "
-                f"(line {lineno}); allowed keys: "
-                f"{', '.join(FAMILY_KEYS[family])}"
+                f"[{esection}] {ekey}: not accepted by {selector} {value!r} "
+                f"(line {lineno}); {allowed}"
             )
     return validate_config(cfg)
 
@@ -362,17 +388,16 @@ def _format_value(spec, value):
 def print_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(print_config(cfg)) == cfg.
 
-    The [kernel] section lists only the active family's keys (the others are
-    rejected on input, so a valid config always holds them at defaults).
+    Each section lists only the keys cfg reads (read_keys); the others are
+    rejected on input, so a parsed config holds them at their preset or
+    default values.
     """
-    family = cfg.get("kernel", "family")
-    kernel_keys = ("family",) + FAMILY_KEYS[family]
     lines = []
-    for section in SECTION_ORDER:
+    for section in SCHEMA:
         lines.append(f"[{section}]")
+        keys = read_keys(cfg, section)
         for key, spec in SCHEMA[section].items():
-            if section == "kernel" and key not in kernel_keys:
-                continue
-            lines.append(f"{key} = {_format_value(spec, cfg.get(section, key))}")
+            if key in keys:
+                lines.append(f"{key} = {_format_value(spec, cfg.get(section, key))}")
         lines.append("")
     return "\n".join(lines)

@@ -176,9 +176,8 @@ def build_grid(box, spacing, density, periodic=None) -> PointCloud:
             )
         counts[axis] = n
 
-    axes = [(np.arange(n) + 0.5) * spacing for n in counts]
-    grids = np.meshgrid(*axes, indexing="ij")
-    positions = np.stack([g.reshape(-1) for g in grids], axis=1)
+    positions = np.ascontiguousarray(
+        (np.indices(counts).reshape(dim, -1).T + 0.5) * spacing)
     volumes = np.full(positions.shape[0], spacing**dim)
     return PointCloud(
         positions=positions,

@@ -9,7 +9,7 @@ run: solids hand it a NetworkForce, and the memory modes of fluidpd their
 own force operator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -232,7 +232,6 @@ class RunResult:
     columns: list
     series: dict            # column name -> np.ndarray, aligned rows
     state: SimState
-    snapshots: list = field(default_factory=list)  # (step, SimState, damage)
 
 
 def _series_row(cloud, op, state):
@@ -246,24 +245,21 @@ def _series_row(cloud, op, state):
 
 
 def run(cloud, bonds, model, state: SimState, dt: float, n_steps: int, load=None,
-        record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
-        keep_snapshots: bool = False) -> RunResult:
+        record_every: int = 1, snapshot_every: int = 0, on_snapshot=None) -> RunResult:
     """Run n_steps of velocity Verlet on the reference bond network."""
     return integrate(cloud, NetworkForce(cloud, bonds, model), state, dt, n_steps, load,
-                     record_every, snapshot_every, on_snapshot, keep_snapshots)
+                     record_every, snapshot_every, on_snapshot)
 
 
 def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
-              record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
-              keep_snapshots: bool = False) -> RunResult:
+              record_every: int = 1, snapshot_every: int = 0, on_snapshot=None) -> RunResult:
     """Run n_steps of velocity Verlet under force operator op, recording
     diagnostics at a cadence.
 
     The series always contains the initial and final instants. Snapshots are
     emitted at step 0 and every snapshot_every steps when snapshot_every > 0,
-    through on_snapshot(step, state, damage) and/or the result's snapshot
-    list (keep_snapshots). The state object is advanced in place and also
-    returned inside the result.
+    through on_snapshot(step, state, damage). The state object is advanced
+    in place and also returned inside the result.
     """
     if n_steps < 0:
         raise ConfigError(f"step count must be non-negative, got {n_steps}")
@@ -272,14 +268,10 @@ def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
 
     cols = series_columns(cloud.dim)
     rows = [_series_row(cloud, op, state)]
-    result = RunResult(columns=cols, series={}, state=state)
 
     def emit_snapshot(step):
-        damage = op.damage()
         if on_snapshot is not None:
-            on_snapshot(step, state, damage)
-        if keep_snapshots:
-            result.snapshots.append((step, state.copy(), damage))
+            on_snapshot(step, state, op.damage())
 
     if snapshot_every > 0 or n_steps == 0:
         emit_snapshot(state.step)
@@ -293,5 +285,5 @@ def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
             emit_snapshot(state.step)
 
     table = np.asarray(rows)
-    result.series = {name: table[:, j] for j, name in enumerate(cols)}
-    return result
+    return RunResult(columns=cols, series={name: table[:, j] for j, name in enumerate(cols)},
+                     state=state)

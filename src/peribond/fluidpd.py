@@ -217,8 +217,8 @@ class MemoryForce:
 
 def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
               state: dynamics.SimState, dt: float, n_steps: int, load=None,
-              record_every: int = 1, snapshot_every: int = 0, on_snapshot=None,
-              keep_snapshots: bool = False) -> dynamics.RunResult:
+              record_every: int = 1, snapshot_every: int = 0,
+              on_snapshot=None) -> dynamics.RunResult:
     """Advance the memory dynamics through the solid run's loop and series.
 
     infinite memory runs the solid integrator on the reference bond network
@@ -228,7 +228,7 @@ def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
     zero (the viscous kernel stores no elastic energy).
     """
     options = dict(load=load, record_every=record_every, snapshot_every=snapshot_every,
-                   on_snapshot=on_snapshot, keep_snapshots=keep_snapshots)
+                   on_snapshot=on_snapshot)
     if memory.mode == "infinite":
         from .discretization import build_bonds
 

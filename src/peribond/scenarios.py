@@ -1,21 +1,21 @@
 """Shipped experiment presets and the config -> runnable-objects bridge.
 
-Three presets cover the library's verification surface: a periodic bar
-carrying a traveling sine wave (horizon-refinement studies), a plate with a
-seeded crack under tensile load (damage growth), and a periodic shear flow
-under the zero-memory fluid kernel (viscous decay). Each preset is both a
-config table (so the CLI can select and override it) and a builder returning
-ready-to-run objects with initial conditions the config format cannot
-express.
+materialize(cfg) is the one path from a config to a run: every section
+builds its object, then the preset's hook adds only what the config format
+cannot say (initial fields, a seeded crack, an oracle); an auto dt the hook
+leaves unset comes from stable_dt last. Each preset is one table in
+PRESET_CONFIGS plus one hook in PRESET_SETUPS, and a hook that cannot honour
+a key raises a ConfigError naming it. The builders keep a keyword interface
+to the same path: each overlays its keywords on its preset's table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 
 from . import dynamics
-from .config import RunConfig
+from .config import RunConfig, default_config, validate_config
 from .discretization import HorizonConfig, PointCloud, build_bonds, build_grid
 from .errors import ConfigError
 from .fluidpd import MemoryConfig
@@ -63,65 +63,90 @@ def linearized_modulus(cloud, bonds, model, point=0, axis=0):
     return 0.5 * float(np.sum(w * c * xi[:, axis] ** 2))
 
 
-def build_bar_wave(
-    delta: float = 0.1,
-    m: int = 4,
-    length: float = 1.0,
-    rho: float = 1.0,
-    c0: float = 1.0,
-    micro: str = "cylindrical",
-    amplitude: float = 1e-3,
-    periods: float = 1.0,
-    safety: float = 0.5,
-    dt: float = None,
-    n_steps: int = None,
-) -> SimSetup:
-    """Periodic 1D bar carrying a right-traveling sine wave.
+def _preset_setup(preset: str, values: dict) -> SimSetup:
+    """Materialize a preset's table overlaid with a builder's keyword values."""
+    cfg = default_config()
+    for table in (PRESET_CONFIGS[preset], values):
+        for section, keys in table.items():
+            cfg.sections[section].update(keys)
+    return materialize(validate_config(cfg))
+
+
+def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: float = 1.0,
+                   c0: float = 1.0, micro: str = "cylindrical", amplitude: float = 1e-3,
+                   periods: float = 1.0, safety: float = 0.5, dt: float = None,
+                   n_steps: int = None) -> SimSetup:
+    """Periodic 1D bar (h = delta / m) carrying a right-traveling sine wave.
 
     The wave speed is derived from the bond network's own linearized
     modulus, so the oracle measures the nonlocal operator's dispersion
     (vanishing as delta -> 0), not quadrature noise. One period is one
-    domain traversal; dt divides it exactly.
+    domain traversal; dt divides it exactly. n_steps=None runs `periods`
+    periods.
     """
-    h = delta / m
-    cloud = build_grid((length,), h, rho, periodic=(True,))
-    horizon = HorizonConfig(delta)
-    model = PMB(micro=MicroModulus(micro, c0, delta))
-    bonds = build_bonds(cloud, horizon)
+    setup = _preset_setup("bar1d-wave", {
+        "domain": {"box": (length,), "h": delta / m, "rho": rho},
+        "horizon": {"delta": delta},
+        "kernel": {"c0": c0, "micro": micro},
+        "time": {"dt": "auto" if dt is None else dt, "steps": n_steps or 0,
+                 "safety": safety},
+        "scenario": {"amplitude": amplitude, "periods": periods},
+    })
+    setup.record_every = max(1, setup.n_steps // 200)
+    return setup
 
-    e_eff = linearized_modulus(cloud, bonds, model)
-    if not e_eff > 0.0:
-        raise ConfigError("bar has no bond stiffness; check delta and c0")
-    c_wave = math.sqrt(e_eff / rho)
-    k = 2.0 * math.pi / length
-    x = cloud.positions[:, 0]
 
-    state = dynamics.zero_state(cloud)
-    state.u[:, 0] = amplitude * np.sin(k * x)
-    state.v[:, 0] = -amplitude * k * c_wave * np.cos(k * x)
+def build_plate_precrack(n: int = 64, size: float = 1.0, m: int = 3, rho: float = 1.0,
+                         modulus: float = 1.0, s0: float = 0.03, v0: float = 0.005,
+                         b0: float = 0.05, n_steps: int = 800, safety: float = 0.5,
+                         dt: float = None, record_every: int = None) -> SimSetup:
+    """Square n x n plate, seeded through-crack, opened by a tensile pull.
 
-    period = length / c_wave
-    if dt is None:
-        per_period = int(math.ceil(period / dynamics.stable_dt(cloud, bonds, model, safety)))
-        dt = period / per_period
-    else:
-        per_period = max(1, int(round(period / dt)))
-    if n_steps is None:
-        n_steps = int(round(periods * per_period))
+    The crack is the segment y = size/2, x in [size/4, 3 size/4]: every bond
+    crossing it starts broken. The two halves are pulled apart by an opposing
+    body force of magnitude b0 plus an opening velocity v0, and a
+    critical-stretch breaker at s0 lets the crack extend. The bond constant
+    is normalized so the linearized modulus equals `modulus`, keeping wave
+    speed and time scale near unity at any resolution.
+    """
+    h = size / n
+    setup = _preset_setup("plate2d-precrack", {
+        "domain": {"box": (size, size), "h": h, "rho": rho},
+        "horizon": {"delta": m * h},
+        "kernel": {"c0": modulus},
+        "breaker": {"s0": s0},
+        "load": {"amplitude": (0.0, b0), "center": 0.5 * size},
+        "time": {"dt": "auto" if dt is None else dt, "steps": n_steps,
+                 "safety": safety},
+        "scenario": {"v0": v0},
+    })
+    setup.record_every = max(1, n_steps // 8) if record_every is None else record_every
+    return setup
 
-    def oracle(xq, t):
-        return amplitude * np.sin(k * (np.asarray(xq) - c_wave * t))
 
-    return SimSetup(
-        cloud=cloud, bonds=bonds, model=model, state=state, dt=dt,
-        n_steps=n_steps, horizon=horizon,
-        record_every=max(1, n_steps // 200), oracle=oracle,
-    )
+def build_fluid_shear(n: int = 24, size: float = 1.0, m: int = 3, rho: float = 1.0,
+                      coefficient: float = 50.0, v0: float = 1.0, dt: float = 0.02,
+                      n_steps: int = 2000) -> SimSetup:
+    """Doubly periodic n x n sheet with a sinusoidal shear velocity profile.
+
+    Under the zero-memory velocity-difference kernel the shear layer decays
+    like a viscous fluid's; kinetic energy is monotone non-increasing.
+    """
+    h = size / n
+    setup = _preset_setup("fluid-shear", {
+        "domain": {"box": (size, size), "h": h, "rho": rho},
+        "horizon": {"delta": m * h},
+        "memory": {"coefficient": coefficient},
+        "time": {"dt": dt, "steps": n_steps},
+        "scenario": {"v0": v0},
+    })
+    setup.record_every = max(1, n_steps // 200)
+    return setup
 
 
 def _seed_crack(cloud, bonds, y_c, x0, x1):
     """Zero out bonds whose reference segment crosses the seam y = y_c,
-    x in [x0, x1]. Returns the count of bond pairs cut."""
+    x in [x0, x1]."""
     pos_i = cloud.positions[bonds.source]
     pos_j = pos_i + bonds.xi
     yi = pos_i[:, 1] - y_c
@@ -132,100 +157,82 @@ def _seed_crack(cloud, bonds, y_c, x0, x1):
     x_cross = pos_i[:, 0] + t * (pos_j[:, 0] - pos_i[:, 0])
     cut = straddles & (x_cross >= x0) & (x_cross <= x1)
     bonds.mu[cut] = 0.0
-    return int(np.count_nonzero(cut))
 
 
-def build_plate_precrack(
-    n: int = 64,
-    size: float = 1.0,
-    m: int = 3,
-    rho: float = 1.0,
-    modulus: float = 1.0,
-    s0: float = 0.03,
-    v0: float = 0.005,
-    b0: float = 0.05,
-    n_steps: int = 800,
-    safety: float = 0.5,
-    dt: float = None,
-    record_every: int = None,
-) -> SimSetup:
-    """Square plate, seeded through-crack, opened by a tensile pull.
-
-    The crack is the segment y = size/2, x in [size/4, 3 size/4]: every bond
-    crossing it starts broken. The two halves are pulled apart by an opposing
-    body force plus a small opening velocity, and a critical-stretch breaker
-    lets the crack extend. The bond constant is normalized so the linearized
-    modulus equals `modulus`, keeping wave speed and time scale near unity
-    at any resolution.
-    """
-    h = size / n
-    delta = m * h
-    cloud = build_grid((size, size), h, rho, periodic=(False, False))
-    horizon = HorizonConfig(delta)
-    probe = PMB(micro=MicroModulus("cylindrical", 1.0, delta))
-    bonds = build_bonds(cloud, horizon)
-
-    center = cloud.n_points // 2 + n // 2   # an interior point, full horizon
-    e_raw = linearized_modulus(cloud, bonds, probe, point=center, axis=1)
-    c0 = modulus / e_raw
-    model = PMB(
-        micro=MicroModulus("cylindrical", c0, delta),
-        breaker=BondBreaker("critical-stretch", s0=s0),
-    )
-
-    y_c = 0.5 * size
-    _seed_crack(cloud, bonds, y_c, 0.25 * size, 0.75 * size)
-
-    state = dynamics.zero_state(cloud)
-    state.v[:, 1] = v0 * np.sign(cloud.positions[:, 1] - y_c)
-    load = dynamics.ExternalLoad(
-        preset="opposing-last-axis", amplitude=(0.0, b0), center=y_c
-    )
-
-    if dt is None:
-        dt = dynamics.stable_dt(cloud, bonds, model, safety)
-    if record_every is None:
-        record_every = max(1, n_steps // 8)
-    return SimSetup(
-        cloud=cloud, bonds=bonds, model=model, state=state, dt=dt,
-        n_steps=n_steps, horizon=horizon, load=load,
-        record_every=record_every,
-    )
+def _need(cfg, section, key, allowed, why):
+    """Refuse a value of [section] key that a preset's hook cannot honour."""
+    value = cfg.get(section, key)
+    if value not in allowed:
+        raise ConfigError(f"[{section}] {key}: {why}; got {value!r}")
 
 
-def build_fluid_shear(
-    n: int = 24,
-    size: float = 1.0,
-    m: int = 3,
-    rho: float = 1.0,
-    coefficient: float = 50.0,
-    v0: float = 1.0,
-    dt: float = 0.02,
-    n_steps: int = 2000,
-) -> SimSetup:
-    """Doubly periodic sheet with a sinusoidal shear velocity profile.
-
-    Under the zero-memory velocity-difference kernel the shear layer decays
-    like a viscous fluid's; kinetic energy is monotone non-increasing.
-    """
-    h = size / n
-    delta = m * h
-    cloud = build_grid((size, size), h, rho, periodic=(True, True))
-    horizon = HorizonConfig(delta)
-    memory = MemoryConfig(mode="zero", coefficient=coefficient, fluid_kernel="linear")
-
-    state = dynamics.zero_state(cloud)
-    state.v[:, 0] = v0 * np.sin(2.0 * math.pi * cloud.positions[:, 1] / size)
-
-    return SimSetup(
-        cloud=cloud, bonds=None, model=None, state=state, dt=dt,
-        n_steps=n_steps, horizon=horizon, memory=memory,
-        record_every=max(1, n_steps // 200),
-    )
+def _modulus(preset, cloud, bonds, model, point=0, axis=0):
+    """linearized_modulus, refused when the horizon reaches no neighbor."""
+    e = linearized_modulus(cloud, bonds, model, point, axis)
+    if not e > 0.0:
+        raise ConfigError(f"[horizon] delta: {preset} has no bond stiffness; "
+                          "the horizon must reach a neighbor")
+    return e
 
 
-# Config-table form of the presets: what the CLI overlays when [scenario]
-# preset names one of these. Keys written explicitly by the user win.
+def _bar_wave(cfg: RunConfig, setup: SimSetup):
+    _need(cfg, "memory", "mode", ("infinite", "finite"),
+          "bar1d-wave takes its wave speed from the bond network, which zero "
+          "memory does not build")
+    cloud, bonds, model = setup.cloud, setup.bonds, setup.model
+    e_eff = _modulus("bar1d-wave", cloud, bonds, model)
+    length = float(cloud.box[0])
+    c_wave = math.sqrt(e_eff / cloud.density)
+    k = 2.0 * math.pi / length
+    amplitude = cfg.get("scenario", "amplitude")
+    x = cloud.positions[:, 0]
+    setup.state.u[:, 0] = amplitude * np.sin(k * x)
+    setup.state.v[:, 0] = -amplitude * k * c_wave * np.cos(k * x)
+
+    period = length / c_wave
+    if setup.dt is None:
+        stable = dynamics.stable_dt(cloud, bonds, model, cfg.get("time", "safety"))
+        setup.dt = period / math.ceil(period / stable)
+    if setup.n_steps == 0:
+        per_period = max(1, round(period / setup.dt))
+        setup.n_steps = round(cfg.get("scenario", "periods") * per_period)
+
+    def oracle(xq, t):
+        return amplitude * np.sin(k * (np.asarray(xq) - c_wave * t))
+
+    setup.oracle = oracle
+
+
+def _plate_precrack(cfg: RunConfig, setup: SimSetup):
+    _need(cfg, "domain", "dim", (2,), "plate2d-precrack is a 2D plate")
+    _need(cfg, "kernel", "family", ("pmb",),
+          "plate2d-precrack scales the pmb bond constant")
+    _need(cfg, "memory", "mode", ("infinite",),
+          "plate2d-precrack seeds its crack in the reference bond network")
+    cloud, bonds, model = setup.cloud, setup.bonds, setup.model
+    n_y = int(round(cloud.box[1] / cloud.spacing))
+    probe = replace(model, micro=replace(model.micro, c0=1.0))
+    e_raw = _modulus("plate2d-precrack", cloud, bonds, probe,
+                     point=cloud.n_points // 2 + n_y // 2, axis=1)
+    setup.model = replace(model, micro=replace(model.micro, c0=model.micro.c0 / e_raw))
+
+    y_c = 0.5 * cloud.box[1]
+    _seed_crack(cloud, bonds, y_c, 0.25 * cloud.box[0], 0.75 * cloud.box[0])
+    setup.state.v[:, 1] = (cfg.get("scenario", "v0")
+                           * np.sign(cloud.positions[:, 1] - y_c))
+
+
+def _fluid_shear(cfg: RunConfig, setup: SimSetup):
+    _need(cfg, "domain", "dim", (2, 3),
+          "fluid-shear shears along the second axis, so it needs dim >= 2")
+    y = setup.cloud.positions[:, 1]
+    setup.state.v[:, 0] = (cfg.get("scenario", "v0")
+                           * np.sin(2.0 * math.pi * y / setup.cloud.box[1]))
+
+
+# Config-table form of the presets: what parse_config overlays when [scenario]
+# preset names one of these (keys written explicitly win), and what each
+# builder overlays its keywords on.
 PRESET_CONFIGS = {
     "bar1d-wave": {
         "domain": {"dim": 1, "box": (1.0,), "h": 0.025, "rho": 1.0,
@@ -233,8 +240,7 @@ PRESET_CONFIGS = {
         "horizon": {"delta": 0.1},
         "kernel": {"family": "pmb", "c0": 1.0, "micro": "cylindrical"},
         "time": {"dt": "auto", "steps": 0, "record_every": 10, "safety": 0.5},
-        "scenario": {"preset": "bar1d-wave", "amplitude": 1e-3, "m": 4,
-                     "periods": 1.0},
+        "scenario": {"preset": "bar1d-wave", "amplitude": 1e-3, "periods": 1.0},
     },
     "plate2d-precrack": {
         "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 64.0, "rho": 1.0,
@@ -246,17 +252,23 @@ PRESET_CONFIGS = {
                  "center": 0.5},
         "time": {"dt": "auto", "steps": 800, "record_every": 100,
                  "safety": 0.5},
-        "scenario": {"preset": "plate2d-precrack", "m": 3, "v0": 0.005},
+        "scenario": {"preset": "plate2d-precrack", "v0": 0.005},
     },
     "fluid-shear": {
         "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 24.0, "rho": 1.0,
                    "periodic": (True, True)},
         "horizon": {"delta": 0.125},
-        "memory": {"mode": "zero", "s": math.inf, "coefficient": 50.0,
-                   "fluid_kernel": "linear"},
+        "memory": {"mode": "zero", "coefficient": 50.0, "fluid_kernel": "linear"},
         "time": {"dt": 0.02, "steps": 2000, "record_every": 10},
-        "scenario": {"preset": "fluid-shear", "m": 3, "v0": 1.0},
+        "scenario": {"preset": "fluid-shear", "v0": 1.0},
     },
+}
+
+# What each preset adds to its table's setup, in materialize.
+PRESET_SETUPS = {
+    "bar1d-wave": _bar_wave,
+    "plate2d-precrack": _plate_precrack,
+    "fluid-shear": _fluid_shear,
 }
 
 _BREAKER_FAMILIES = ("pmb", "nano-membrane", "nano-fiber")
@@ -266,10 +278,7 @@ def model_from_config(cfg: RunConfig, delta: float, dim: int):
     """Instantiate the configured kernel family with the horizon injected."""
     k = cfg.sections["kernel"]
     family = k["family"]
-    breaker = BondBreaker(
-        cfg.get("breaker", "mode"), s0=cfg.get("breaker", "s0"),
-        eps=cfg.get("breaker", "eps"),
-    )
+    breaker = BondBreaker(**cfg.sections["breaker"])
     if breaker.mode != "none" and family not in _BREAKER_FAMILIES:
         raise ConfigError(
             f"[breaker] mode: family {family!r} does not take a breaker "
@@ -301,109 +310,46 @@ def model_from_config(cfg: RunConfig, delta: float, dim: int):
     raise ConfigError(f"[kernel] family: unhandled family {family!r}")
 
 
-def memory_from_config(cfg: RunConfig) -> MemoryConfig:
-    return MemoryConfig(
-        mode=cfg.get("memory", "mode"),
-        s=cfg.get("memory", "s"),
-        coefficient=cfg.get("memory", "coefficient"),
-        fluid_kernel=cfg.get("memory", "fluid_kernel"),
-    )
-
-
 def load_from_config(cfg: RunConfig):
-    preset = cfg.get("load", "preset")
-    if preset == "none":
+    if cfg.get("load", "preset") == "none":
         return None
-    return dynamics.ExternalLoad(
-        preset=preset,
-        amplitude=tuple(cfg.get("load", "amplitude")),
-        wavelength=cfg.get("load", "wavelength"),
-        center=cfg.get("load", "center"),
-    )
+    return dynamics.ExternalLoad(**cfg.sections["load"])
 
 
 def materialize(cfg: RunConfig) -> SimSetup:
     """Turn a validated config into runnable objects.
 
-    Preset scenarios delegate to their builders (which own the initial
-    conditions); explicitly set [time] and [horizon] keys still win. Under
-    bar1d-wave, steps = 0 means "derive the count from scenario periods".
+    Every section builds its object here, then the preset's hook adds what
+    the config format cannot say; an auto dt the hook leaves unset comes
+    from stable_dt.
     """
-    preset = cfg.get("scenario", "preset")
-    dt_key = cfg.get("time", "dt")
-    dt = None if dt_key == "auto" else float(dt_key)
-    steps = cfg.get("time", "steps")
-
-    if preset == "bar1d-wave":
-        setup = build_bar_wave(
-            delta=cfg.get("horizon", "delta"),
-            m=cfg.get("scenario", "m"),
-            length=cfg.get("domain", "box")[0],
-            rho=cfg.get("domain", "rho"),
-            c0=cfg.get("kernel", "c0"),
-            micro=cfg.get("kernel", "micro"),
-            amplitude=cfg.get("scenario", "amplitude"),
-            periods=cfg.get("scenario", "periods"),
-            safety=cfg.get("time", "safety"),
-            dt=dt,
-            n_steps=steps if steps > 0 else None,
-        )
-        setup.record_every = cfg.get("time", "record_every")
-    elif preset == "plate2d-precrack":
-        setup = build_plate_precrack(
-            n=int(round(cfg.get("domain", "box")[0] / cfg.get("domain", "h"))),
-            size=cfg.get("domain", "box")[0],
-            m=cfg.get("scenario", "m"),
-            rho=cfg.get("domain", "rho"),
-            s0=cfg.get("breaker", "s0"),
-            v0=cfg.get("scenario", "v0"),
-            b0=(cfg.get("load", "amplitude")[-1]
-                if cfg.get("load", "preset") != "none" else 0.0),
-            n_steps=steps,
-            safety=cfg.get("time", "safety"),
-            dt=dt,
-            record_every=cfg.get("time", "record_every"),
-        )
-    elif preset == "fluid-shear":
-        setup = build_fluid_shear(
-            n=int(round(cfg.get("domain", "box")[0] / cfg.get("domain", "h"))),
-            size=cfg.get("domain", "box")[0],
-            m=cfg.get("scenario", "m"),
-            rho=cfg.get("domain", "rho"),
-            coefficient=cfg.get("memory", "coefficient"),
-            v0=cfg.get("scenario", "v0"),
-            dt=dt if dt is not None else 0.02,
-            n_steps=steps,
-        )
-        setup.record_every = cfg.get("time", "record_every")
-    else:
-        dim = cfg.get("domain", "dim")
-        cloud = build_grid(
-            cfg.get("domain", "box"), cfg.get("domain", "h"),
-            cfg.get("domain", "rho"), periodic=cfg.get("domain", "periodic"),
-        )
-        horizon = HorizonConfig(
-            cfg.get("horizon", "delta"),
-            partial_volume=cfg.get("horizon", "partial_volume"),
-        )
-        model = model_from_config(cfg, horizon.delta, dim)
-        memory = memory_from_config(cfg)
-        bonds = None
-        if memory.mode != "zero":
-            bonds = build_bonds(cloud, horizon)
-        state = dynamics.zero_state(cloud)
-        if dt is None:
-            if bonds is None:
-                raise ConfigError(
-                    "[time] dt: auto needs a bond network; zero-memory runs "
-                    "must set dt explicitly"
-                )
-            dt = dynamics.stable_dt(cloud, bonds, model,
-                                    cfg.get("time", "safety"))
-        setup = SimSetup(
-            cloud=cloud, bonds=bonds, model=model, state=state, dt=dt,
-            n_steps=steps, horizon=horizon, load=load_from_config(cfg),
-            memory=memory, record_every=cfg.get("time", "record_every"),
-        )
-    setup.snapshot_every = cfg.get("output", "snapshot_every")
+    cloud = build_grid(
+        cfg.get("domain", "box"), cfg.get("domain", "h"),
+        cfg.get("domain", "rho"), periodic=cfg.get("domain", "periodic"),
+    )
+    horizon = HorizonConfig(**cfg.sections["horizon"])
+    model = model_from_config(cfg, horizon.delta, cfg.get("domain", "dim"))
+    memory = MemoryConfig(**cfg.sections["memory"])
+    dt = cfg.get("time", "dt")
+    setup = SimSetup(
+        cloud=cloud,
+        bonds=None if memory.mode == "zero" else build_bonds(cloud, horizon),
+        model=model, state=dynamics.zero_state(cloud),
+        dt=None if dt == "auto" else float(dt),
+        n_steps=cfg.get("time", "steps"), horizon=horizon,
+        load=load_from_config(cfg), memory=memory,
+        record_every=cfg.get("time", "record_every"),
+        snapshot_every=cfg.get("output", "snapshot_every"),
+    )
+    hook = PRESET_SETUPS.get(cfg.get("scenario", "preset"))
+    if hook is not None:
+        hook(cfg, setup)
+    if setup.dt is None:
+        if setup.bonds is None:
+            raise ConfigError(
+                "[time] dt: auto needs a bond network; zero-memory runs "
+                "must set dt explicitly"
+            )
+        setup.dt = dynamics.stable_dt(cloud, setup.bonds, setup.model,
+                                      cfg.get("time", "safety"))
     return setup

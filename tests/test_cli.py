@@ -109,6 +109,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli(["run", "-c", inf_dt]) == 2
     assert "[time] dt" in capsys.readouterr().err
 
+    rod = write(tmp_path, "rod.cfg", "[kernel]\nfamily = rod\n[breaker]\nmode = none\n")
+    assert cli(["run", "--preset", "plate2d-precrack", "-c", rod]) == 2
+    assert "[kernel] family" in capsys.readouterr().err
+
     dup = write(tmp_path, "dup.cfg", "[time]\nsteps = 1\nsteps = 2\n")
     assert cli(["print-config", "-c", dup]) == 2
     assert "duplicate key" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Config file parsing: schema enforcement, presets, exact round-tripping."""
 
 import math
+import re
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -13,6 +14,7 @@ from peribond.config import (
     default_config,
     parse_config,
     print_config,
+    read_keys,
     validate_config,
 )
 from peribond.errors import ConfigError
@@ -205,7 +207,6 @@ SPECIAL = {
     ("time", "safety"): st.floats(0.0, 1.0, exclude_min=True),
     ("output", "directory"): st.text("abcxyz019_-./", min_size=1, max_size=16),
     ("output", "snapshot_every"): st.integers(0, 10**4),
-    ("scenario", "m"): st.integers(2, 64),
 }
 
 
@@ -245,7 +246,7 @@ def valid_configs(draw):
         for key, spec in keys.items():
             if (section, key) == ("scenario", "preset"):
                 continue
-            if section == "kernel" and key not in FAMILY_KEYS[family] + ("family",):
+            if key not in read_keys(cfg, section):
                 continue  # not printed: keeps its preset or default value
             if (section, key) in fixed:
                 value = fixed[(section, key)]
@@ -264,3 +265,37 @@ def test_round_trip_random_valid_configs(cfg):
     text = print_config(cfg)
     assert parse_config(text) == cfg
     assert print_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[breaker]\ns0 = 0.1\n", "[breaker] s0"),
+    ("[breaker]\nmode = critical-stretch\ns0 = 0.1\neps = 0.5\n", "[breaker] eps"),
+    ("[memory]\ns = 0.5\n", "[memory] s"),
+    ("[memory]\ncoefficient = 9\n", "[memory] coefficient"),
+    ("[memory]\nmode = finite\ns = 0.5\nfluid_kernel = kernel\n", "[memory] fluid_kernel"),
+    ("[load]\npreset = constant\namplitude = 1.0\nwavelength = 2.0\n", "[load] wavelength"),
+    ("[load]\npreset = constant\namplitude = 1.0\ncenter = 0.2\n", "[load] center"),
+    ("[scenario]\nv0 = 1.0\n", "[scenario] v0"),
+    ("[scenario]\npreset = plate2d-precrack\namplitude = 0.1\n", "[scenario] amplitude"),
+    ("[scenario]\nm = 4\n", "unknown key [scenario] m"),
+])
+def test_keys_their_selector_does_not_read_are_rejected(text, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(text)
+
+
+def test_selector_messages_and_printed_keys():
+    with pytest.raises(ConfigError,
+                       match=r"\[breaker\] s0: not accepted by mode 'none' \(line 2\); "
+                             r"mode 'none' takes no other key"):
+        parse_config("[breaker]\ns0 = 0.1\n")
+    with pytest.raises(ConfigError, match=r"allowed keys: amplitude, center"):
+        parse_config("[load]\npreset = opposing-last-axis\nwavelength = 2.0\n")
+    def printed(cfg):
+        return {line.split(" = ")[0] for line in print_config(cfg).splitlines()}
+
+    unread = {"s0", "eps", "s", "coefficient", "fluid_kernel", "amplitude",
+              "wavelength", "center", "v0", "periods"}
+    assert not printed(default_config()) & unread
+    fluid = parse_config("[scenario]\npreset = fluid-shear\n")
+    assert printed(fluid) & unread == {"coefficient", "fluid_kernel", "v0"}

@@ -173,11 +173,11 @@ def test_run_snapshots_and_zero_steps():
     model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.6))
     seen = []
     result = run(cloud, bonds, model, zero_state(cloud), 0.01, 0,
-                 on_snapshot=lambda step, st, dmg: seen.append(step),
-                 keep_snapshots=True)
+                 on_snapshot=lambda step, st, dmg: seen.append((step, st.copy(), dmg)))
     # a zero-step run still emits the initial snapshot
-    assert seen == [0]
-    assert len(result.snapshots) == 1
+    assert [step for step, _, _ in seen] == [0]
+    assert np.array_equal(seen[0][1].u, result.state.u)
+    assert np.array_equal(seen[0][2], bonds.damage())
     assert len(result.series["t"]) == 1
 
     seen.clear()

@@ -1,13 +1,14 @@
 """Preset builders and the config-to-objects bridge."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from peribond.config import default_config, parse_config
 from peribond.errors import ConfigError
-from peribond.kernels import KERNEL_FAMILIES
+from peribond.kernels import KERNEL_FAMILIES, PMB, BondBreaker, MicroModulus
 from peribond.scenarios import (
     build_bar_wave,
     build_fluid_shear,
@@ -68,7 +69,9 @@ def test_plate_precrack_seeds_a_clean_crack():
 
 def test_fluid_shear_setup():
     setup = build_fluid_shear(n=8)
-    assert setup.bonds is None and setup.model is None
+    # the configured pmb rides along; the linear fluid kernel ignores it
+    assert setup.bonds is None
+    assert setup.model == PMB(micro=MicroModulus("cylindrical", 1.0, setup.horizon.delta))
     assert setup.memory.mode == "zero"
     assert setup.cloud.periodic.all()
     ke = float(np.sum(setup.state.v ** 2))
@@ -127,3 +130,66 @@ def test_materialize_preset_respects_overrides():
     cfg = parse_config("[scenario]\npreset = fluid-shear\n[time]\nsteps = 4\n")
     setup = materialize(cfg)
     assert setup.n_steps == 4 and setup.memory.mode == "zero"
+
+
+def _plate_modulus(setup):
+    cloud = setup.cloud
+    n_y = int(round(cloud.box[1] / cloud.spacing))
+    return linearized_modulus(cloud, setup.bonds, setup.model,
+                              point=cloud.n_points // 2 + n_y // 2, axis=1)
+
+
+# (preset, explicit keys, what must hold in the materialized setup)
+OVERRIDES = [
+    ("bar1d-wave", "[domain]\nh = 0.05\n", lambda s: s.cloud.n_points == 20),
+    ("plate2d-precrack", "[horizon]\ndelta = 0.0625\n",
+     lambda s: s.horizon.delta == s.model.micro.delta == 0.0625
+     and s.bonds.xi_norm.max() > 3.0 / 64.0),
+    ("plate2d-precrack", "[horizon]\npartial_volume = none\n",
+     lambda s: np.all(s.bonds.weights == s.cloud.spacing**2)),
+    ("plate2d-precrack", "[kernel]\nc0 = 2.0\n",
+     lambda s: _plate_modulus(s) == pytest.approx(2.0, rel=1e-12)),
+    ("plate2d-precrack", "[kernel]\nmicro = triangular\n",
+     lambda s: s.model.micro.family == "triangular"
+     and _plate_modulus(s) == pytest.approx(1.0, rel=1e-12)),
+    ("plate2d-precrack", "[breaker]\nmode = none\n",
+     lambda s: not s.model.breaker.active),
+    ("plate2d-precrack", "[breaker]\nmode = theta-eps\neps = 0.01\n",
+     lambda s: s.model.breaker == BondBreaker("theta-eps", s0=0.03, eps=0.01)),
+    ("plate2d-precrack", "[load]\npreset = none\n", lambda s: s.load is None),
+    ("plate2d-precrack", "[domain]\nperiodic = true, true\n",
+     lambda s: s.cloud.periodic.all()),
+    ("fluid-shear", "[horizon]\ndelta = 0.25\n", lambda s: s.horizon.delta == 0.25),
+    ("fluid-shear", "[memory]\nfluid_kernel = kernel\n",
+     lambda s: s.memory.fluid_kernel == "kernel"),
+]
+
+
+@pytest.mark.parametrize("preset, text, holds", OVERRIDES)
+def test_explicit_keys_reach_the_preset_setup(preset, text, holds):
+    cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
+    assert holds(materialize(cfg))
+
+
+# (preset, explicit keys, the key the refusal must name)
+REFUSALS = [
+    ("plate2d-precrack",
+     "[domain]\ndim = 1\nbox = 1.0\nperiodic = false\n[load]\npreset = none\n",
+     "[domain] dim"),
+    ("plate2d-precrack", "[kernel]\nfamily = rod\n[breaker]\nmode = none\n",
+     "[kernel] family"),
+    ("plate2d-precrack", "[memory]\nmode = finite\ns = 0.1\n[breaker]\nmode = none\n",
+     "[memory] mode"),
+    ("plate2d-precrack", "[horizon]\ndelta = 0.01\n", "[horizon] delta"),
+    ("bar1d-wave", "[memory]\nmode = zero\n[time]\ndt = 0.01\n", "[memory] mode"),
+    ("bar1d-wave", "[horizon]\ndelta = 0.01\n", "[horizon] delta"),
+    ("fluid-shear", "[domain]\ndim = 1\nbox = 1.0\nperiodic = true\n", "[domain] dim"),
+    ("fluid-shear", "[time]\ndt = auto\n", "[time] dt"),
+]
+
+
+@pytest.mark.parametrize("preset, text, key", REFUSALS)
+def test_preset_hooks_refuse_keys_they_cannot_honour(preset, text, key):
+    cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        materialize(cfg)
