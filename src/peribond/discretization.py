@@ -223,11 +223,12 @@ def minimum_image(diff, box, periodic):
 def neighbor_pairs(positions, delta, box, periodic):
     """All unordered pairs with minimum-image distance 0 <= d <= delta.
 
-    Returns (pairs, diff, dist): pairs is (P, 2) int with i < j, diff is the
-    minimum-image separation positions[j] - positions[i]. Backed by a k-d tree
-    with toroidal topology on the periodic axes; results are re-filtered on
-    exact distances so the stored network depends only on this module's
-    arithmetic, then sorted for deterministic ordering.
+    Returns (pairs, diff, dist): pairs is (P, 2) int64 with i < j, diff is
+    the minimum-image separation positions[j] - positions[i]. Backed by a k-d
+    tree with toroidal topology on the periodic axes; results are re-filtered
+    on exact distances so the stored network depends only on this module's
+    arithmetic, in (i, j) order: sorted by the unique key i*N + j, so any
+    sort algorithm gives the same order.
 
     The acceptance test carries a 1e-9 relative slack: on a lattice, pairs at
     exactly delta round a few ulps either way depending on where the points
@@ -236,7 +237,7 @@ def neighbor_pairs(positions, delta, box, periodic):
     slack perturbs weights by O(1e-9) at most.
     """
     positions = np.asarray(positions, dtype=float)
-    dim = positions.shape[1]
+    n, dim = positions.shape
     boxsize = np.zeros(dim)
     wrapped = positions
     for axis in range(dim):
@@ -253,14 +254,14 @@ def neighbor_pairs(positions, delta, box, periodic):
                 wrapped[:, axis] = np.mod(wrapped[:, axis], length)
     tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None)
     raw = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
-    if raw.size == 0:
-        empty = np.empty((0, 2), dtype=np.int64)
-        return empty, np.empty((0, dim)), np.empty(0)
-    order = np.lexsort((raw[:, 1], raw[:, 0]))
-    pairs = raw[order].astype(np.int64)
-    diff = minimum_image(positions[pairs[:, 1]] - positions[pairs[:, 0]], box, periodic)
+    raw = raw.astype(np.int64, copy=False)
+    pairs = np.take(raw, np.argsort(raw[:, 0] * n + raw[:, 1]), axis=0)
+    diff = minimum_image(np.take(positions, pairs[:, 1], axis=0)
+                         - np.take(positions, pairs[:, 0], axis=0), box, periodic)
     dist = lengths(diff)
     keep = dist <= delta * (1.0 + 1e-9)
+    if keep.all():
+        return pairs, diff, dist
     return pairs[keep], diff[keep], dist[keep]
 
 
@@ -270,14 +271,15 @@ def directed_pairs(positions, delta, box, periodic):
     Returns (source, neighbors, xi, dist) for bonds with 0 <= d <= delta,
     coincident pairs included — callers decide whether coincidence is an
     error. The zero-memory fluid force searches the current shape with it.
+    Sorted by the unique key source*N + neighbor, so by any sort algorithm.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
     neighbors = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    xi = np.concatenate([diff, -diff], axis=0)
-    dist = np.concatenate([dist, dist])
-    order = np.lexsort((neighbors, source))
-    return source[order], neighbors[order], xi[order], dist[order]
+    order = np.argsort(source * len(positions) + neighbors)
+    return (np.take(source, order), np.take(neighbors, order),
+            np.take(np.concatenate([diff, -diff]), order, axis=0),
+            np.take(np.concatenate([dist, dist]), order))
 
 
 def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNetwork:

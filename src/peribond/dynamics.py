@@ -96,14 +96,6 @@ def bond_stretches(bonds: BondNetwork, u: np.ndarray) -> np.ndarray:
     return (q - bonds.xi_norm) / bonds.xi_norm
 
 
-def _accumulate(source, values, n_points):
-    """Deterministic per-point segment sum of per-bond vector values."""
-    out = np.empty((n_points, values.shape[1]))
-    for k in range(values.shape[1]):
-        out[:, k] = np.bincount(source, weights=values[:, k], minlength=n_points)
-    return out
-
-
 def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) -> np.ndarray:
     """Internal force density (force per unit volume) at every point.
 

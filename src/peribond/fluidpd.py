@@ -127,6 +127,12 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
     return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
 
 
+def _accumulate(source, values, n_points):
+    """Deterministic per-point segment sum of per-bond vector values."""
+    return np.column_stack([np.bincount(source, weights=values[:, k], minlength=n_points)
+                            for k in range(values.shape[1])])
+
+
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
                 model=None, velocities=None):
     """Zero-memory force: kernel over current-configuration neighbors.
@@ -134,22 +140,22 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     The second kernel argument is the velocity difference scaled by the
     memory coefficient, so the force depends on velocity differences only
     (Galilean invariant by construction). velocities optionally overrides
-    state.velocities.
+    state.velocities. Every call searches the current shape, also the second
+    call at one shape in a step: a call keeps no state that could reuse one.
     """
     v = state.velocities if velocities is None else velocities
-    source, neighbors, xi, dist = directed_pairs(
-        state.positions, horizon.delta, cloud.box, cloud.periodic
-    )
+    source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta,
+                                                 cloud.box, cloud.periodic)
     if np.any(dist == 0.0):
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
             f"particles {int(source[k])} and {int(neighbors[k])} coincide "
             "in the deformed configuration"
         )
-    weights = cloud.volumes[neighbors].copy()
+    weights = np.take(cloud.volumes, neighbors)
     if horizon.partial_volume == "linear" and dist.size:
         weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
-    dv = v[neighbors] - v[source]
+    dv = np.take(v, neighbors, axis=0) - np.take(v, source, axis=0)
     if memory.fluid_kernel == "linear":
         n = xi / dist[:, None]
         f = memory.coefficient * np.sum(dv * n, axis=1)[:, None] * n
@@ -157,7 +163,7 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
         f = model.force(xi, memory.coefficient * dv)
-    return dynamics._accumulate(source, f * weights[:, None], cloud.n_points)
+    return _accumulate(source, f * weights[:, None], cloud.n_points)
 
 
 class MemoryForce:

@@ -4,9 +4,10 @@ materialize(cfg) is the one path from a config to a run: every section
 builds its object, then the preset's hook adds only what the config format
 cannot say (initial fields, a seeded crack, an oracle); an auto dt the hook
 leaves unset comes from stable_dt last. Each preset is one table in
-PRESET_CONFIGS plus one hook in PRESET_SETUPS, and a hook that cannot honour
-a key raises a ConfigError naming it. The builders keep a keyword interface
-to the same path: each overlays its keywords on its preset's table.
+PRESET_CONFIGS, one hook in PRESET_SETUPS and, in PRESET_NEEDS, the key
+values its hook cannot honour: those raise a ConfigError naming the key
+before anything is built. The builders keep a keyword interface to the
+same path: each overlays its keywords on its preset's table.
 """
 
 from dataclasses import dataclass, replace
@@ -159,13 +160,6 @@ def _seed_crack(cloud, bonds, y_c, x0, x1):
     bonds.mu[cut] = 0.0
 
 
-def _need(cfg, section, key, allowed, why):
-    """Refuse a value of [section] key that a preset's hook cannot honour."""
-    value = cfg.get(section, key)
-    if value not in allowed:
-        raise ConfigError(f"[{section}] {key}: {why}; got {value!r}")
-
-
 def _modulus(preset, cloud, bonds, model, point=0, axis=0):
     """linearized_modulus, refused when the horizon reaches no neighbor."""
     e = linearized_modulus(cloud, bonds, model, point, axis)
@@ -176,9 +170,6 @@ def _modulus(preset, cloud, bonds, model, point=0, axis=0):
 
 
 def _bar_wave(cfg: RunConfig, setup: SimSetup):
-    _need(cfg, "memory", "mode", ("infinite", "finite"),
-          "bar1d-wave takes its wave speed from the bond network, which zero "
-          "memory does not build")
     cloud, bonds, model = setup.cloud, setup.bonds, setup.model
     e_eff = _modulus("bar1d-wave", cloud, bonds, model)
     length = float(cloud.box[0])
@@ -204,11 +195,6 @@ def _bar_wave(cfg: RunConfig, setup: SimSetup):
 
 
 def _plate_precrack(cfg: RunConfig, setup: SimSetup):
-    _need(cfg, "domain", "dim", (2,), "plate2d-precrack is a 2D plate")
-    _need(cfg, "kernel", "family", ("pmb",),
-          "plate2d-precrack scales the pmb bond constant")
-    _need(cfg, "memory", "mode", ("infinite",),
-          "plate2d-precrack seeds its crack in the reference bond network")
     cloud, bonds, model = setup.cloud, setup.bonds, setup.model
     n_y = int(round(cloud.box[1] / cloud.spacing))
     probe = replace(model, micro=replace(model.micro, c0=1.0))
@@ -223,8 +209,6 @@ def _plate_precrack(cfg: RunConfig, setup: SimSetup):
 
 
 def _fluid_shear(cfg: RunConfig, setup: SimSetup):
-    _need(cfg, "domain", "dim", (2, 3),
-          "fluid-shear shears along the second axis, so it needs dim >= 2")
     y = setup.cloud.positions[:, 1]
     setup.state.v[:, 0] = (cfg.get("scenario", "v0")
                            * np.sin(2.0 * math.pi * y / setup.cloud.box[1]))
@@ -269,6 +253,20 @@ PRESET_SETUPS = {
     "bar1d-wave": _bar_wave,
     "plate2d-precrack": _plate_precrack,
     "fluid-shear": _fluid_shear,
+}
+
+# Key values each hook cannot honour, refused before anything is built:
+# (section, key, values the hook takes, why).
+PRESET_NEEDS = {
+    "bar1d-wave": [("memory", "mode", ("infinite", "finite"), "bar1d-wave takes its wave "
+                    "speed from the bond network, which zero memory does not build")],
+    "plate2d-precrack": [
+        ("domain", "dim", (2,), "plate2d-precrack is a 2D plate"),
+        ("kernel", "family", ("pmb",), "plate2d-precrack scales the pmb bond constant"),
+        ("memory", "mode", ("infinite",),
+         "plate2d-precrack seeds its crack in the reference bond network")],
+    "fluid-shear": [("domain", "dim", (2, 3),
+                     "fluid-shear shears along the second axis, so it needs dim >= 2")],
 }
 
 _BREAKER_FAMILIES = ("pmb", "nano-membrane", "nano-fiber")
@@ -319,18 +317,25 @@ def load_from_config(cfg: RunConfig):
 def materialize(cfg: RunConfig) -> SimSetup:
     """Turn a validated config into runnable objects.
 
-    Every section builds its object here, then the preset's hook adds what
-    the config format cannot say; an auto dt the hook leaves unset comes
-    from stable_dt.
+    Refuses first what the preset or zero memory cannot honour; then every
+    section builds its object, the preset's hook adds what the config format
+    cannot say, and an auto dt the hook leaves unset comes from stable_dt.
     """
+    preset = cfg.get("scenario", "preset")
+    for section, key, allowed, why in PRESET_NEEDS.get(preset, ()):
+        if cfg.get(section, key) not in allowed:
+            raise ConfigError(f"[{section}] {key}: {why}; got {cfg.get(section, key)!r}")
+    memory = MemoryConfig(**cfg.sections["memory"])
+    dt = cfg.get("time", "dt")
+    if dt == "auto" and memory.mode == "zero":
+        raise ConfigError("[time] dt: auto needs a bond network; zero-memory runs "
+                          "must set dt explicitly")
     cloud = build_grid(
         cfg.get("domain", "box"), cfg.get("domain", "h"),
         cfg.get("domain", "rho"), periodic=cfg.get("domain", "periodic"),
     )
     horizon = HorizonConfig(**cfg.sections["horizon"])
     model = model_from_config(cfg, horizon.delta, cfg.get("domain", "dim"))
-    memory = MemoryConfig(**cfg.sections["memory"])
-    dt = cfg.get("time", "dt")
     setup = SimSetup(
         cloud=cloud,
         bonds=None if memory.mode == "zero" else build_bonds(cloud, horizon),
@@ -341,15 +346,10 @@ def materialize(cfg: RunConfig) -> SimSetup:
         record_every=cfg.get("time", "record_every"),
         snapshot_every=cfg.get("output", "snapshot_every"),
     )
-    hook = PRESET_SETUPS.get(cfg.get("scenario", "preset"))
+    hook = PRESET_SETUPS.get(preset)
     if hook is not None:
         hook(cfg, setup)
     if setup.dt is None:
-        if setup.bonds is None:
-            raise ConfigError(
-                "[time] dt: auto needs a bond network; zero-memory runs "
-                "must set dt explicitly"
-            )
         setup.dt = dynamics.stable_dt(cloud, setup.bonds, setup.model,
                                       cfg.get("time", "safety"))
     return setup

@@ -7,15 +7,17 @@ neighbor's volume, the kernel called on every directed bond and the results
 summed per source point. The network's sparse scatter operator is checked
 against the bincount scatter it replaced, and a model bound to the network
 against the same model evaluated call by call. The neighbor search itself is
-checked against an O(N^2) minimum-image brute force.
+checked against an O(N^2) minimum-image brute force, and the directed search
+against the two-key lexsort it replaced.
 """
 
 import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from peribond import HorizonConfig, build_bonds, build_grid, kernels
 from peribond.discretization import (
@@ -230,3 +232,63 @@ def test_neighbor_pairs_match_brute_force(dim, data, seed, n):
     found = {tuple(p) for p in got_pairs.tolist()}
     bonded = [(base, n + k) in found for k, base in enumerate(bases)]
     assert bonded == [length != delta * PAST_SLACK for length in separations]
+
+
+def test_exact_refilter_drops_what_the_tree_lets_through():
+    # found by random search: the k-d tree measures the wrapped coordinates,
+    # and accepts point 1, which lies off the box by whole periods, although
+    # its exact minimum-image distance from point 0 is past delta * SLACK
+    box, periodic = np.array([1.19259497537902]), np.array([True])
+    delta = 0.34828779985213265
+    points = np.array([[0.34499139879587426], [-1.691910751761745], [0.35]])
+    tree = cKDTree(np.mod(points, box), boxsize=box)
+    assert (0, 1) in tree.query_pairs(delta * SLACK + 1e-300)
+    got_pairs, got_diff, _ = neighbor_pairs(points, delta, box, periodic)
+    want_pairs, want_diff, _ = brute_force_pairs(points, delta, box, periodic)
+    assert got_pairs.tolist() == want_pairs.tolist() == [[0, 2], [1, 2]]
+    assert np.array_equal(got_diff, want_diff)
+
+
+def lexsort_directed_pairs(positions, delta, box, periodic):
+    """Both directions of every pair from neighbor_pairs, ordered by a
+    two-key lexsort on (source, neighbor): the directed search as first
+    written, kept as the reference for its one-key sort."""
+    pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
+    source = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    neighbors = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    xi = np.concatenate([diff, -diff], axis=0)
+    dist = np.concatenate([dist, dist])
+    order = np.lexsort((neighbors, source))
+    return source[order], neighbors[order], xi[order], dist[order]
+
+
+@settings(max_examples=150)
+@example(dim=2, periodic=[True, False, False], n=0, reach=0.3, grid=False,
+         off_box=False, seed=0)
+@example(dim=3, periodic=[False, True, True], n=6, reach=1e-6, grid=False,
+         off_box=True, seed=1)
+@given(dim=st.integers(1, 3), periodic=st.lists(st.booleans(), min_size=3, max_size=3),
+       n=st.integers(0, 60), reach=st.sampled_from([1e-6, 0.1, 0.25, 0.45]),
+       grid=st.booleans(), off_box=st.booleans(), seed=st.integers(0, 2**16))
+def test_directed_pairs_match_the_lexsort_reference(dim, periodic, n, reach, grid,
+                                                    off_box, seed):
+    # grid rounds points onto a coarse lattice: coincident points and pairs
+    # exactly on delta; off_box moves points by whole periods on periodic axes
+    periodic = np.array(periodic[:dim])
+    rng = np.random.default_rng(seed)
+    box = rng.uniform(1.0, 2.0, dim)
+    delta = reach * float(box.min())
+    points = rng.uniform(0.0, 1.0, (n, dim)) * box
+    if grid:
+        points = np.round(points * 8.0) / 8.0
+    if off_box:
+        points = points + rng.integers(-2, 3, points.shape) * periodic * box
+
+    got = directed_pairs(points, delta, box, periodic)
+    want = lexsort_directed_pairs(points, delta, box, periodic)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    assert got[0].dtype == np.int64 and got[2].shape == (got[0].size, dim)
+    if reach == 1e-6 and not grid:
+        assert got[0].size == 0  # the empty search keeps its shapes and dtypes

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from peribond import scenarios
 from peribond.config import default_config, parse_config
 from peribond.errors import ConfigError
 from peribond.kernels import KERNEL_FAMILIES, PMB, BondBreaker, MicroModulus
@@ -190,6 +191,20 @@ REFUSALS = [
 
 @pytest.mark.parametrize("preset, text, key", REFUSALS)
 def test_preset_hooks_refuse_keys_they_cannot_honour(preset, text, key):
+    cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        materialize(cfg)
+
+
+@pytest.mark.parametrize("preset, text, key",
+                         [r for r in REFUSALS if r[2] != "[horizon] delta"])
+def test_refusals_come_before_anything_is_built(monkeypatch, preset, text, key):
+    # only the no-neighbor refusal needs the bond network
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before the config was refused")
+
+    monkeypatch.setattr(scenarios, "build_grid", unbuilt)
+    monkeypatch.setattr(scenarios, "build_bonds", unbuilt)
     cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
     with pytest.raises(ConfigError, match=re.escape(key)):
         materialize(cfg)
