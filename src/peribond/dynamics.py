@@ -1,12 +1,16 @@
 """Explicit time integration of the peridynamic equation of motion.
 
 rho u_tt(x, t) = sum over the horizon of f(xi, eta) weights + b(x, t),
-advanced with velocity Verlet. Each bond pair is evaluated once and its
-force scattered onto both ends; each point sums its terms in pair order
+advanced with velocity Verlet. Each bond pair is evaluated once per step and
+its force scattered onto both ends; each point sums its terms in pair order
 (pairs ascend by source, then neighbor index), so repeated runs of the same
 configuration are bitwise reproducible. One loop (integrate) serves every
 run: solids hand it a NetworkForce, and the memory modes of fluidpd their
-own force operator.
+own force operator. The operator's settle(state, dt, force) returns the
+next step's incoming force; on a network whose bonds break, the breaker
+reads the stretch off that step's kernel call and the force is refreshed
+only on the rows the changed pairs touch. Preset body forces do not depend
+on t and are evaluated once per run.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ import numpy as np
 
 from .discretization import BondNetwork, PointCloud
 from .errors import ConfigError, SimulationError, SingularConfigurationError
-from .kernels import lengths, update_breaker
+from .kernels import lengths, stretch_of, update_breaker
 
 LOAD_PRESETS = ("none", "constant", "sinusoidal-in-x", "opposing-last-axis")
 
@@ -91,9 +95,9 @@ def _relative(bonds: BondNetwork, u: np.ndarray) -> np.ndarray:
 
 
 def bond_stretches(bonds: BondNetwork, u: np.ndarray) -> np.ndarray:
-    """Current stretch of every bond pair for displacement field u."""
-    q = lengths(bonds.xi + _relative(bonds, u))
-    return (q - bonds.xi_norm) / bonds.xi_norm
+    """Current stretch of every bond pair for displacement field u (the cold
+    path: the loop takes the stretch from the lengths its force formed)."""
+    return stretch_of(lengths(bonds.xi + _relative(bonds, u)), bonds.xi_norm)
 
 
 def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) -> np.ndarray:
@@ -113,6 +117,7 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
         raise SingularConfigurationError(
             f"{model.family}: coincident deformed points on bond(s) {pairs}"
         ) from None
+    del eta  # before the product, which builds the operator on first use
     return bonds.scatter @ f
 
 
@@ -135,11 +140,18 @@ class NetworkForce:
 
     The loop in integrate drives any object with these members. force(state,
     v) is the internal force density, potential(state) the stored energy,
-    damage() the per-point broken fraction, and settle(state, dt) runs once
-    after each step and reports whether the last force went stale (here:
-    bonds broke). carry_force says whether the end-of-step force can serve as
-    the next step's incoming force; it cannot when the force depends on
-    velocity. The model is bound to the network once, here.
+    damage() the per-point broken fraction, and settle(state, dt, force) runs
+    once after each step, right after force at the same state, and returns
+    the next step's incoming force (here: updates the breaker and, when
+    bonds changed, refreshes force in place). carry_force says whether that
+    force may be carried; it cannot when the force depends on velocity.
+
+    The model is bound to the network once, here. settle takes the deformed
+    lengths and pair forces of the step's own kernel call from the bound
+    model: the stretch comes from those lengths, with no second gather, and
+    a break re-evaluates only the changed pairs and re-sums only the rows of
+    their end points. Both are bitwise what a fresh evaluation gives.
+    Neither array outlives settle.
     """
 
     carry_force = True
@@ -149,6 +161,7 @@ class NetworkForce:
         self.cloud, self.bonds, self.model = cloud, bonds, model.bind(bonds)
 
     def force(self, state, v):
+        self.model.take_pair_state()  # free the last call's pair arrays first
         return internal_force(self.cloud, self.bonds, self.model, state.u)
 
     def potential(self, state):
@@ -157,23 +170,59 @@ class NetworkForce:
     def damage(self):
         return self.bonds.damage()
 
-    def settle(self, state, dt):
-        """Update damage once per step from the post-step stretches."""
+    def settle(self, state, dt, force):
+        """Update damage once per step from the post-step stretches; return
+        force, refreshed where bonds changed."""
         bonds, model = self.bonds, self.model
+        q, f = model.take_pair_state()
         breaker = model.breaker
         if breaker is None or not breaker.active:
-            return False
-        s = bond_stretches(bonds, state.u)
+            return force
+        if q is None:  # no kernel call at this state: the cold path
+            s = bond_stretches(bonds, state.u)
+        else:
+            s = stretch_of(q, bonds.xi_norm, out=q)
         thresholds = model.breaker_thresholds(bonds.xi_norm)
-        return update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds) > 0
+        changed = np.empty(bonds.n_bonds, dtype=bool)
+        if update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds, changed) == 0:
+            return force
+        return self._refresh(state, force, f, np.flatnonzero(changed))
+
+    def _refresh(self, state, force, f, rows):
+        """force and the pair forces f at state after the mu of the pairs in
+        rows changed: re-evaluates those pairs into f and re-sums the rows of
+        their end points into force, in place. Without f, evaluates afresh."""
+        if f is None:
+            return self.force(state, state.v)
+        bonds = self.bonds
+        source, neighbors = bonds.source[rows], bonds.neighbors[rows]
+        eta = np.take(state.u, neighbors, axis=0) - np.take(state.u, source, axis=0)
+        f[rows] = self.model.force(bonds.xi[rows], eta, bonds.mu[rows])
+        points = np.unique(np.concatenate([source, neighbors]))
+        force[points] = bonds.scatter[points] @ f
+        return force
+
+
+class _CarriedLoad:
+    """A load as the loop reads it. Presets do not depend on t and are
+    evaluated once per run; a callable is evaluated once per instant, so
+    the end of one step hands its b to the start of the next."""
+
+    def __init__(self, load):
+        self.load, self.t, self.b = load, None, None
+
+    def body_force(self, positions, t):
+        if self.b is None or (self.load.fn is not None and t != self.t):
+            self.t, self.b = t, self.load.body_force(positions, t)
+        return self.b
 
 
 def step_verlet(cloud, op, state: SimState, dt: float, load=None, force=None):
     """Advance one velocity-Verlet step in place under force operator op.
 
     force is the internal force at the incoming state (recomputed when None).
-    Returns the internal force consistent with the outgoing state, for reuse
-    as the next step's incoming force, or None when op cannot carry it.
+    Returns op.settle's force for the outgoing state, for reuse as the next
+    step's incoming force, or None when op cannot carry it.
     """
     if force is None:
         force = op.force(state, state.v)
@@ -189,11 +238,8 @@ def step_verlet(cloud, op, state: SimState, dt: float, load=None, force=None):
 
     if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
         raise SimulationError(f"non-finite state detected at step {state.step}")
-    stale = op.settle(state, dt)
-    if not op.carry_force:
-        return None
-    # when bonds broke this step the next step starts from the damaged network
-    return op.force(state, state.v) if stale else force_new
+    force_new = op.settle(state, dt, force_new)
+    return force_new if op.carry_force else None
 
 
 def kinetic_energy(cloud: PointCloud, v: np.ndarray) -> float:
@@ -269,6 +315,7 @@ def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
         emit_snapshot(state.step)
 
     force = None
+    load = _CarriedLoad(load) if load is not None else None
     for k in range(1, n_steps + 1):
         force = step_verlet(cloud, op, state, dt, load=load, force=force)
         if k % record_every == 0 or k == n_steps:

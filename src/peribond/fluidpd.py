@@ -215,10 +215,10 @@ class MemoryForce:
     def damage(self):
         return np.zeros(self.cloud.n_points)
 
-    def settle(self, state, dt):
+    def settle(self, state, dt, force):
         if self.memory.mode == "finite":
             self._lift(state, state.v).push_snapshot()
-        return False
+        return force
 
 
 def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,

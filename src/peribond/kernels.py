@@ -13,7 +13,6 @@ stretch s = (q - r)/r, unit vector n = (xi + eta)/q.
 from dataclasses import dataclass
 import copy
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +57,21 @@ def lengths(z):
     return np.sqrt(acc)
 
 
+def stretch_of(q, r, out=None):
+    """Stretch s = (q - r)/r of bonds with deformed lengths q and reference
+    lengths r: the one stretch formula of the kernels, the breaker and the
+    diagnostics. out may be q itself."""
+    s = np.subtract(q, r, out=out)
+    return np.divide(s, r, out=s)
+
+
 def bond_stretch(xi, eta):
     """Relative elongation s = (|xi + eta| - |xi|)/|xi| of one or many bonds."""
     xi2, eta2, single = _as_bond_arrays(xi, eta)
     r = lengths(xi2)
     if np.any(r == 0.0):
         raise ValueError("bond stretch undefined for zero reference separation")
-    q = lengths(xi2 + eta2)
-    s = (q - r) / r
+    s = stretch_of(lengths(xi2 + eta2), r)
     return float(s[0]) if single else s
 
 
@@ -157,36 +163,44 @@ def theta_ramp(accum, eps):
     return np.clip(1.0 - np.asarray(accum, dtype=float) / eps, 0.0, 1.0)
 
 
-def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None):
+def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=None):
     """Advance per-bond damage state one step, in place.
 
     stretch holds the post-step bond stretches. thresholds optionally
     overrides breaker.s0 per bond (used by the displacement-threshold family
     whose critical stretch varies with bond length). mu only ever decreases.
     Returns the number of bonds whose mu changed; under critical-stretch a
-    bond already at zero does not count again.
+    bond already at zero does not count again. changed, when given, is a
+    bool array shaped like mu that receives which bonds those are.
     """
     if breaker is None or not breaker.active:
         return 0
     s0 = breaker.s0 if thresholds is None else thresholds
+    if changed is None:
+        changed = np.empty(mu.shape, dtype=bool)
     if breaker.mode == "critical-stretch":
-        changed = (stretch >= s0) & (mu != 0.0)
+        np.greater_equal(stretch, s0, out=changed)
+        changed &= mu != 0.0
         mu[changed] = 0.0
     else:  # theta-eps
         accum += np.maximum(0.0, stretch - s0) * dt
         ramp = theta_ramp(accum, breaker.eps)
-        changed = ramp < mu
+        np.less(ramp, mu, out=changed)
         np.minimum(mu, ramp, out=mu)
     return int(np.count_nonzero(changed))
 
 
-class _Binding(NamedTuple):
-    """Reference-bond data a bound model reuses on every call."""
+@dataclass(eq=False)
+class _Binding:
+    """Reference-bond data a bound model reuses on every call, and what its
+    last force call on the network's own xi formed."""
 
     xi: np.ndarray      # the network's separations, recognized by identity
     r: np.ndarray       # |xi|
     radial: object      # the family's r-only factor _radial(r)
     inside: bool        # every r lies inside support_radius
+    q: np.ndarray = None  # deformed lengths, until taken
+    f: np.ndarray = None  # pair forces, until taken
 
 
 class KernelModel:
@@ -205,8 +219,11 @@ class KernelModel:
     bind(bonds) returns a copy tied to one bond network. Called with that
     network's own xi array, the copy reuses |xi|, k and the support test it
     computed once, and skips the gate when every bond lies inside the
-    support; any other xi takes the per-call path. Both paths do the same
-    arithmetic in the same order, so their results are bitwise equal.
+    support; any other xi (a subset of the pairs, say) takes the per-call
+    path. Both paths do the same arithmetic in the same order, so their
+    results are bitwise equal. A force call on the network's own xi also
+    keeps the deformed lengths and pair forces it formed, until
+    take_pair_state hands them over.
     """
 
     needs_direction = False  # True when the force divides by the deformed length
@@ -227,9 +244,23 @@ class KernelModel:
                            _Binding(bonds.xi, r, self._radial(r), inside))
         return bound
 
+    def take_pair_state(self):
+        """(q, f) of the last force call on the bound network's own xi: the
+        deformed length and the force of every pair, handed over once.
+        (None, None) when no such call came since the last take."""
+        b = self._binding
+        if b is None:
+            return None, None
+        q, f = b.q, b.f
+        b.q = b.f = None
+        return q, f
+
     def force(self, xi, eta, mu=None):
         z, q, r, k, mu, single = self._bonds(xi, eta, mu)
         z *= self._gate(self._coef(q, r, k, mu), r)[:, None]
+        b = self._binding
+        if b is not None and r is b.r:
+            b.q, b.f = q, z
         return z[0] if single else z
 
     def potential(self, xi, eta, mu=None):
@@ -390,7 +421,7 @@ class PMB(KernelModel):
         return self.micro(r)
 
     def _coef(self, q, r, k, mu):
-        return k * ((q - r) / r) * mu / q
+        return k * stretch_of(q, r) * mu / q
 
     def _phi(self, q, r, k, mu):
         return k * (q - r) ** 2 / (2.0 * r) * mu

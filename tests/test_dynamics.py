@@ -67,6 +67,31 @@ def test_external_load_callable_and_errors():
         bad.body_force(np.zeros((3, 1)), 0.0)
 
 
+@pytest.mark.parametrize("preset", [True, False])
+def test_run_evaluates_the_body_force_once_per_instant(preset, monkeypatch):
+    # a preset does not depend on t and is evaluated once per run; a
+    # callable once per instant, the end of one step being the next's start
+    cloud = build_grid((1.0,), 0.0625, 1.0, periodic=(True,))
+    bonds = build_bonds(cloud, HorizonConfig(0.25))
+    model = QuadraticPotential(alpha=2.0, delta=0.25)
+    times, exact = [], ExternalLoad.body_force
+
+    def counted(self, positions, t):
+        times.append(t)
+        return exact(self, positions, t)
+
+    monkeypatch.setattr(ExternalLoad, "body_force", counted)
+    fn = None if preset else (lambda pos, t: np.full_like(pos, math.sin(t)))
+    load = ExternalLoad("constant", amplitude=(1e-3,), fn=fn)
+    state = zero_state(cloud)
+    run(cloud, bonds, model, state, 0.01, 20, load=load, record_every=5)
+    instants = [0.0]
+    for _ in range(20):
+        instants.append(instants[-1] + 0.01)
+    assert times == (instants[:1] if preset else instants)
+    assert np.any(state.v != 0.0)
+
+
 def test_bond_stretches():
     cloud = two_point_cloud()
     bonds = build_bonds(cloud, HorizonConfig(0.6))

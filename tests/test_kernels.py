@@ -268,7 +268,8 @@ stretch_histories = st.lists(
        history=stretch_histories, dt=st.floats(1e-3, 0.5), seed=st.integers(0, 2**16))
 def test_breaker_is_monotone_and_counts_its_changes(law, history, dt, seed):
     # from any damage state, a step never heals a bond or drains its
-    # accumulator, and the return value counts exactly the mu entries it moved
+    # accumulator, the return value counts exactly the mu entries it moved,
+    # and the changed mask marks exactly those
     rng = np.random.default_rng(seed)
     thresholds = None
     if law == "anti-plane-shear":
@@ -282,10 +283,13 @@ def test_breaker_is_monotone_and_counts_its_changes(law, history, dt, seed):
     accum = rng.uniform(0.0, 0.03, N_BONDS)
     for stretch in history:
         mu_before, accum_before = mu.copy(), accum.copy()
-        changed = update_breaker(breaker, np.array(stretch), dt, mu, accum, thresholds)
+        which = np.zeros(N_BONDS, dtype=bool)
+        changed = update_breaker(breaker, np.array(stretch), dt, mu, accum, thresholds,
+                                 which)
         assert np.all(mu <= mu_before)
         assert np.all(accum >= accum_before)
         assert changed == np.count_nonzero(mu != mu_before)
+        assert np.array_equal(which, mu != mu_before)
 
 
 def test_axiom_sweep_all_families():

@@ -17,6 +17,7 @@ from peribond import (
     HorizonConfig,
     MemoryConfig,
     build_fluid_shear,
+    build_plate_precrack,
     build_grid,
     materialize,
     parse_config,
@@ -24,7 +25,7 @@ from peribond import (
     run_fluid,
     zero_state,
 )
-from peribond import fluidpd
+from peribond import dynamics, fluidpd
 from peribond.discretization import pair_network
 from peribond.dynamics import (
     bond_stretches,
@@ -127,22 +128,98 @@ def assert_matches_reference(cloud, result, u, v, rows):
         assert_close(result.series[name], want, scale, name)
 
 
-@pytest.mark.parametrize("preset, steps", [("plate2d-precrack", 100), ("bar1d-wave", None)])
-def test_solid_loop_is_bitwise_the_reference_loop(preset, steps):
-    text = f"[scenario]\npreset = {preset}\n"
+# A sheared anti-plane-shear plate whose bonds break one by one at their own
+# critical stretch u_star/r (74 of its 100 steps break some).
+APS_SHEAR = """[domain]
+dim = 2
+box = 1, 1
+h = 0.03125
+periodic = false, false
+[horizon]
+delta = 0.09375
+[kernel]
+family = anti-plane-shear
+c = 10000
+u_star = 0.0003
+[load]
+preset = sinusoidal-in-x
+amplitude = 0, 0.002
+wavelength = 1
+"""
+
+
+@pytest.mark.parametrize("preset, steps, extra", [
+    pytest.param("plate2d-precrack", 100, "", id="plate2d-precrack-100"),
+    pytest.param("bar1d-wave", None, "", id="bar1d-wave-None"),
+    pytest.param("plate2d-precrack", 100, "[breaker]\nmode = theta-eps\neps = 0.001\n",
+                 id="plate2d-precrack-theta-eps"),
+    pytest.param("none", 100, APS_SHEAR, id="anti-plane-shear-u_star"),
+])
+def test_solid_loop_is_bitwise_the_reference_loop(preset, steps, extra):
+    text = f"[scenario]\npreset = {preset}\n" + extra
     if steps is not None:
         text += f"[time]\nsteps = {steps}\n"
     cfg = parse_config(text)
     a, b = materialize(cfg), materialize(cfg)
+    mu0 = a.bonds.mu.copy()
     result = run(a.cloud, a.bonds, a.model, a.state, a.dt, a.n_steps,
                  load=a.load, record_every=a.record_every)
     rows = reference_solid_run(b.cloud, b.bonds, b.model, b.state, b.dt, b.n_steps,
                                b.load, b.record_every)
+    if "theta-eps" in extra:  # the graded breaker leaves bonds part-way
+        assert np.any((a.bonds.mu > 0.0) & (a.bonds.mu < 1.0))
+    if "u_star" in extra:
+        assert np.any(a.bonds.mu != mu0)
     assert np.array_equal(a.state.u, b.state.u)
     assert np.array_equal(a.state.v, b.state.v)
     assert np.array_equal(a.bonds.mu, b.bonds.mu)
     for j, name in enumerate(result.columns):
         assert np.array_equal(result.series[name], rows[:, j]), name
+
+
+def test_plate_run_evaluates_each_pair_once_per_step(monkeypatch):
+    # one full-network kernel call per step (plus step 1's incoming force);
+    # a step that breaks bonds re-evaluates just those pairs, in one call.
+    # The breaker takes its stretch from the kernel's own lengths, and the
+    # operator keeps no per-pair array from one step to the next.
+    setup = build_plate_precrack(n=32, n_steps=60, record_every=30)
+    n_pairs = setup.bonds.n_bonds
+    sizes, changed, held = [], [], []
+    exact_force, exact_update = PMB.force, dynamics.update_breaker
+    exact_settle = dynamics.NetworkForce.settle
+
+    def counted_force(self, xi, eta, mu=None):
+        sizes.append(len(xi))
+        return exact_force(self, xi, eta, mu)
+
+    def counted_update(*args, **kwargs):
+        changed.append(exact_update(*args, **kwargs))
+        return changed[-1]
+
+    def no_stretches(*args, **kwargs):
+        raise AssertionError("the loop recomputed the stretches")
+
+    def checked_settle(self, state, dt, force):
+        out = exact_settle(self, state, dt, force)
+        kept = [k for k, v in vars(self).items()
+                if isinstance(v, np.ndarray) and v.shape[:1] == (n_pairs,)]
+        kept += [a for a in self.model.take_pair_state() if a is not None]
+        held.append(kept)
+        return out
+
+    monkeypatch.setattr(PMB, "force", counted_force)
+    monkeypatch.setattr(dynamics, "update_breaker", counted_update)
+    monkeypatch.setattr(dynamics, "bond_stretches", no_stretches)
+    monkeypatch.setattr(dynamics.NetworkForce, "settle", checked_settle)
+    run(setup.cloud, setup.bonds, setup.model, setup.state, setup.dt, setup.n_steps,
+        load=setup.load, record_every=setup.record_every)
+
+    partial = [n for n in sizes if n != n_pairs]
+    assert sizes.count(n_pairs) == setup.n_steps + 1
+    assert len(changed) == setup.n_steps
+    assert len(partial) == sum(1 for n in changed if n) > 0
+    assert partial == [n for n in changed if n]
+    assert held == [[]] * setup.n_steps
 
 
 def test_zero_memory_run_matches_position_form_loop():

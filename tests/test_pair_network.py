@@ -5,8 +5,9 @@ both ends. The oracle below uses directed bonds instead: every pair in both
 directions from discretization.directed_pairs, each bond weighted by its
 neighbor's volume, the kernel called on every directed bond and the results
 summed per source point. The network's sparse scatter operator is checked
-against the bincount scatter it replaced, and a model bound to the network
-against the same model evaluated call by call. The neighbor search itself is
+against the bincount scatter and the CSC operator it replaced, a model bound
+to the network against the same model evaluated call by call, and the
+breaker's row-local force refresh against a fresh force. The neighbor search itself is
 checked against an O(N^2) minimum-image brute force, and the directed search
 against the two-key lexsort it replaced.
 """
@@ -17,6 +18,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
 from peribond import HorizonConfig, build_bonds, build_grid, kernels
@@ -25,7 +27,13 @@ from peribond.discretization import (
     neighbor_pairs,
     partial_volume_factor,
 )
-from peribond.dynamics import internal_force, potential_energy, stable_dt
+from peribond.dynamics import (
+    NetworkForce,
+    internal_force,
+    potential_energy,
+    stable_dt,
+    zero_state,
+)
 from peribond.kernels import default_models
 
 REL_TOL = 1e-12
@@ -167,6 +175,68 @@ def test_bound_model_skips_the_reference_lengths_and_keeps_its_gate(monkeypatch)
     assert len(calls) == 3
     outside = bonds.xi_norm > model.support_radius * kernels.SUPPORT_SLACK
     assert np.all(f[outside] == 0.0) and np.any(f[~outside] != 0.0)
+
+
+def csc_scatter(bonds):
+    """The column-per-pair CSC operator the CSR scatter replaced: column k
+    holds w_ij at row source[k] and -w_ji at row neighbors[k]."""
+    m = bonds.n_bonds
+    rows = np.empty(2 * m, dtype=np.int32)
+    rows[0::2], rows[1::2] = bonds.source, bonds.neighbors
+    data = np.empty(2 * m)
+    data[0::2], data[1::2] = bonds.weights, -bonds.reverse_weights
+    indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+    return csc_matrix((data, rows, indptr), shape=(bonds.n_points, m))
+
+
+@settings(max_examples=60)
+@given(lattice=lattices(), seed=st.integers(0, 2**16))
+def test_csr_scatter_is_bitwise_the_csc_product(lattice, seed):
+    cloud, horizon = lattice
+    bonds = build_bonds(cloud, horizon)
+    f = np.random.default_rng(seed).standard_normal((bonds.n_bonds, cloud.dim))
+    assert bonds.scatter.format == "csr"
+    oracle = csc_scatter(bonds)
+    assert np.array_equal(bonds.scatter @ f, oracle @ f)
+    assert np.array_equal(bonds.scatter @ f[:, 0], oracle @ f[:, 0])
+
+
+MU_CHANGES = ("none", "one", "random zeros", "theta-eps fractions", "all")
+
+
+@settings(max_examples=150)
+@given(lattice=lattices(), family=st.sampled_from(sorted(default_models())),
+       change=st.sampled_from(MU_CHANGES), seed=st.integers(0, 2**16))
+def test_row_local_refresh_is_bitwise_a_fresh_force(lattice, family, change, seed):
+    # the breaker's refresh: re-evaluate the pairs whose mu changed and
+    # re-sum the rows of their end points, from the step's own pair forces
+    cloud, horizon = lattice
+    model = default_models(delta=horizon.delta, dim=cloud.dim)[family]
+    bonds = build_bonds(cloud, horizon)
+    m = bonds.n_bonds
+    rng = np.random.default_rng(seed)
+    state = zero_state(cloud)
+    state.u[:] = 0.05 * cloud.spacing * rng.standard_normal(state.u.shape)
+    bonds.mu[rng.random(m) < 0.1] = 0.0  # bonds broken in earlier steps
+    op = NetworkForce(cloud, bonds, model)
+    force = op.force(state, state.v)
+    _, f = op.model.take_pair_state()
+    assert f is not None
+
+    rows = {
+        "none": np.arange(0),
+        "one": rng.integers(m, size=1),
+        "random zeros": np.flatnonzero(rng.random(m) < 0.2),
+        "theta-eps fractions": np.flatnonzero(rng.random(m) < 0.3),
+        "all": np.arange(m),
+    }[change]
+    if change in ("theta-eps fractions", "all"):
+        bonds.mu[rows] *= rng.uniform(0.0, 1.0, rows.size)
+    else:
+        bonds.mu[rows] = 0.0
+    got = op._refresh(state, force, f, rows)
+    assert got is force
+    assert np.array_equal(got, internal_force(cloud, bonds, model, state.u))
 
 
 def brute_force_pairs(positions, delta, box, periodic):
