@@ -13,7 +13,7 @@ from functools import cached_property
 import warnings
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, SingularConfigurationError
@@ -97,32 +97,26 @@ class BondNetwork:
 
     @cached_property
     def scatter(self):
-        """Sparse (n_points, n_bonds) CSR operator spreading per-pair values
-        onto both ends: column k holds w_ij at row source[k] and -w_ji at
-        row neighbors[k]. Each row lists the pairs ending at its point, then
-        those starting there, so in pair order: scatter @ f sums each
-        point's terms in pair order, and scatter[points] @ f re-sums a few
-        rows bitwise as the full product does. Built on first use in linear
-        passes, with no sort: transposing the pair adjacency groups the
-        pairs by their end point."""
-        m, n = self.n_bonds, self.n_points
-        pair = np.arange(m, dtype=np.int32)
-        counts = np.empty((n, 2), dtype=np.int64)  # pairs ending, starting at each point
-        counts[:, 0] = np.bincount(self.neighbors, minlength=n)
-        counts[:, 1] = np.bincount(self.source, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts.sum(axis=1), out=indptr[1:])
-        by_source = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts[:, 1], out=by_source[1:])
-        ends = csr_matrix((pair, self.neighbors, by_source), shape=(n, n)).tocsc().data
-        at_source = np.repeat(np.tile([False, True], n), counts.ravel())
-        at_neighbor = ~at_source
-        indices = np.empty(2 * m, dtype=np.int32)
+        """Sparse (n_points, n_bonds) operator spreading per-pair values onto
+        both ends: column k holds w_ij at row source[k] and -w_ji at row
+        neighbors[k], so scatter @ f sums each point's terms in pair order.
+        Built on first use from the pair order, with no sort, as a CSC
+        matrix; prepare_rows turns it into CSR."""
+        m = self.n_bonds
+        rows = np.empty(2 * m, dtype=np.int32)
+        rows[0::2], rows[1::2] = self.source, self.neighbors
         data = np.empty(2 * m)
-        indices[at_source], data[at_source] = pair, self.weights
-        indices[at_neighbor] = ends
-        data[at_neighbor] = -np.take(self.reverse_weights, ends)
-        return csr_matrix((data, indices, indptr), shape=(n, m))
+        data[0::2], data[1::2] = self.weights, -self.reverse_weights
+        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+        return csc_matrix((data, rows, indptr), shape=(self.n_points, m))
+
+    def prepare_rows(self):
+        """Replace scatter by its CSR form, for networks that re-sum a few
+        rows: its rows list their entries in pair order, so scatter[points]
+        @ f re-sums those rows bitwise as the full product does, and slicing
+        them is cheap. A network used for one product (a remembered shape)
+        keeps the CSC form and never pays for the conversion."""
+        self.scatter = self.scatter.tocsr()
 
     def degrees(self) -> np.ndarray:
         return self.per_point(None, None)

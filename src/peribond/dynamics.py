@@ -95,8 +95,9 @@ def _relative(bonds: BondNetwork, u: np.ndarray) -> np.ndarray:
 
 
 def bond_stretches(bonds: BondNetwork, u: np.ndarray) -> np.ndarray:
-    """Current stretch of every bond pair for displacement field u (the cold
-    path: the loop takes the stretch from the lengths its force formed)."""
+    """Current stretch of every bond pair for displacement field u. The loop
+    does not call it: settle takes the stretch from the lengths that the
+    step's own force call formed."""
     return stretch_of(lengths(bonds.xi + _relative(bonds, u)), bonds.xi_norm)
 
 
@@ -146,12 +147,13 @@ class NetworkForce:
     bonds changed, refreshes force in place). carry_force says whether that
     force may be carried; it cannot when the force depends on velocity.
 
-    The model is bound to the network once, here. settle takes the deformed
-    lengths and pair forces of the step's own kernel call from the bound
-    model: the stretch comes from those lengths, with no second gather, and
-    a break re-evaluates only the changed pairs and re-sums only the rows of
-    their end points. Both are bitwise what a fresh evaluation gives.
-    Neither array outlives settle.
+    The model is bound to the network once, here, and the network's
+    operator turned into CSR for the refresh's row slices. settle takes the
+    deformed lengths and pair forces of the step's own kernel call from the
+    bound model: the stretch comes from those lengths, with no second
+    gather, and a break re-evaluates only the changed pairs and re-sums only
+    the rows of their end points. Both are bitwise what a fresh evaluation
+    gives. Neither array outlives settle.
     """
 
     carry_force = True
@@ -159,9 +161,12 @@ class NetworkForce:
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
         self.cloud, self.bonds, self.model = cloud, bonds, model.bind(bonds)
+        # here, before the step's per-pair temporaries exist: converted amid
+        # them (at a break, or in the first product) it raised peak memory
+        bonds.prepare_rows()
 
     def force(self, state, v):
-        self.model.take_pair_state()  # free the last call's pair arrays first
+        self.model.take_pair_state()  # free the last call's pair arrays before the gathers
         return internal_force(self.cloud, self.bonds, self.model, state.u)
 
     def potential(self, state):
@@ -175,13 +180,12 @@ class NetworkForce:
         force, refreshed where bonds changed."""
         bonds, model = self.bonds, self.model
         q, f = model.take_pair_state()
+        if q is None:
+            raise RuntimeError("settle needs the kernel call of force at this state")
         breaker = model.breaker
         if breaker is None or not breaker.active:
             return force
-        if q is None:  # no kernel call at this state: the cold path
-            s = bond_stretches(bonds, state.u)
-        else:
-            s = stretch_of(q, bonds.xi_norm, out=q)
+        s = stretch_of(q, bonds.xi_norm, out=q)
         thresholds = model.breaker_thresholds(bonds.xi_norm)
         changed = np.empty(bonds.n_bonds, dtype=bool)
         if update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds, changed) == 0:
@@ -191,9 +195,7 @@ class NetworkForce:
     def _refresh(self, state, force, f, rows):
         """force and the pair forces f at state after the mu of the pairs in
         rows changed: re-evaluates those pairs into f and re-sums the rows of
-        their end points into force, in place. Without f, evaluates afresh."""
-        if f is None:
-            return self.force(state, state.v)
+        their end points into force, in place."""
         bonds = self.bonds
         source, neighbors = bonds.source[rows], bonds.neighbors[rows]
         eta = np.take(state.u, neighbors, axis=0) - np.take(state.u, source, axis=0)

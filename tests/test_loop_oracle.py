@@ -220,6 +220,10 @@ def test_plate_run_evaluates_each_pair_once_per_step(monkeypatch):
     assert len(partial) == sum(1 for n in changed if n) > 0
     assert partial == [n for n in changed if n]
     assert held == [[]] * setup.n_steps
+    assert setup.bonds.scatter.format == "csr"  # rows sliced by the refresh
+    op = dynamics.NetworkForce(setup.cloud, setup.bonds, setup.model)
+    with pytest.raises(RuntimeError, match="settle needs"):  # no force at this state
+        op.settle(setup.state, setup.dt, np.zeros_like(setup.state.u))
 
 
 def test_zero_memory_run_matches_position_form_loop():
@@ -253,12 +257,13 @@ def test_finite_memory_carries_its_force(monkeypatch):
     # reference shape (before the memory span has elapsed), the step-0
     # snapshot, and the snapshots of steps 1 .. n_steps - stride. The
     # end-of-step force is reused by the next step and each recorded row's
-    # energy reuses that step's search.
+    # energy reuses that step's search. A remembered shape serves one
+    # product, so its operator never turns into the row-sliced CSR.
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return pair_network(*args, **kwargs)
+        calls.append(pair_network(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(fluidpd, "pair_network", counted)
     cloud, horizon, model, memory, state = finite_memory_case()
@@ -269,3 +274,4 @@ def test_finite_memory_carries_its_force(monkeypatch):
     stride = 5  # memory span 0.05 over dt 0.01
     assert records == 4
     assert len(calls) == 2 + n_steps - stride
+    assert {bonds.scatter.format for bonds in calls} == {"csc"}

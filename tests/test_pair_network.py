@@ -5,7 +5,8 @@ both ends. The oracle below uses directed bonds instead: every pair in both
 directions from discretization.directed_pairs, each bond weighted by its
 neighbor's volume, the kernel called on every directed bond and the results
 summed per source point. The network's sparse scatter operator is checked
-against the bincount scatter and the CSC operator it replaced, a model bound
+against the bincount scatter and, in its row-sliced CSR form, against an
+independently built CSC operator; a model bound
 to the network against the same model evaluated call by call, and the
 breaker's row-local force refresh against a fresh force. The neighbor search itself is
 checked against an O(N^2) minimum-image brute force, and the directed search
@@ -178,8 +179,8 @@ def test_bound_model_skips_the_reference_lengths_and_keeps_its_gate(monkeypatch)
 
 
 def csc_scatter(bonds):
-    """The column-per-pair CSC operator the CSR scatter replaced: column k
-    holds w_ij at row source[k] and -w_ji at row neighbors[k]."""
+    """The column-per-pair CSC operator, built apart from the network: column
+    k holds w_ij at row source[k] and -w_ji at row neighbors[k]."""
     m = bonds.n_bonds
     rows = np.empty(2 * m, dtype=np.int32)
     rows[0::2], rows[1::2] = bonds.source, bonds.neighbors
@@ -192,11 +193,18 @@ def csc_scatter(bonds):
 @settings(max_examples=60)
 @given(lattice=lattices(), seed=st.integers(0, 2**16))
 def test_csr_scatter_is_bitwise_the_csc_product(lattice, seed):
+    # prepare_rows turns the operator into CSR; its row slices and its full
+    # products stay bitwise the CSC products
     cloud, horizon = lattice
     bonds = build_bonds(cloud, horizon)
-    f = np.random.default_rng(seed).standard_normal((bonds.n_bonds, cloud.dim))
-    assert bonds.scatter.format == "csr"
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((bonds.n_bonds, cloud.dim))
     oracle = csc_scatter(bonds)
+    assert bonds.scatter.format == "csc"
+    points = np.flatnonzero(rng.random(bonds.n_points) < 0.3)
+    bonds.prepare_rows()
+    assert bonds.scatter.format == "csr"
+    assert np.array_equal(bonds.scatter[points] @ f, (oracle @ f)[points])
     assert np.array_equal(bonds.scatter @ f, oracle @ f)
     assert np.array_equal(bonds.scatter @ f[:, 0], oracle @ f[:, 0])
 
