@@ -9,10 +9,13 @@ constraint itself. parse_config(print_config(cfg)) reproduces cfg exactly
 (floats are serialized with 17 significant digits).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 
+from .discretization import PARTIAL_VOLUME_MODES
+from .dynamics import LOAD_PRESETS
 from .errors import ConfigError
+from .fluidpd import FLUID_KERNELS, MEMORY_MODES
 from .kernels import BREAKER_MODES, KERNEL_FAMILIES, MICRO_FAMILIES
 
 _SENTINEL = object()
@@ -47,7 +50,7 @@ SCHEMA = {
     },
     "horizon": {
         "delta": Field("float", 0.1, constraint="must be positive", check=_positive),
-        "partial_volume": Field("str", "linear", choices=("linear", "none")),
+        "partial_volume": Field("str", "linear", choices=PARTIAL_VOLUME_MODES),
     },
     "kernel": {
         "family": Field("str", "pmb", choices=tuple(sorted(KERNEL_FAMILIES))),
@@ -76,9 +79,7 @@ SCHEMA = {
                      check=_non_negative),
     },
     "load": {
-        "preset": Field("str", "none",
-                        choices=("none", "constant", "sinusoidal-in-x",
-                                 "opposing-last-axis")),
+        "preset": Field("str", "none", choices=LOAD_PRESETS),
         "amplitude": Field("float_list", ()),
         "wavelength": Field("float", 1.0, constraint="must be positive",
                             check=_positive),
@@ -94,11 +95,11 @@ SCHEMA = {
                         check=lambda v: 0.0 < v <= 1.0),
     },
     "memory": {
-        "mode": Field("str", "infinite", choices=("infinite", "finite", "zero")),
+        "mode": Field("str", "infinite", choices=MEMORY_MODES),
         "s": Field("float", math.inf, constraint="must be positive", check=_positive),
         "coefficient": Field("float", 1.0, constraint="must be positive",
                              check=_positive),
-        "fluid_kernel": Field("str", "linear", choices=("linear", "kernel")),
+        "fluid_kernel": Field("str", "linear", choices=FLUID_KERNELS),
     },
     "output": {
         "directory": Field("str", "out"),
@@ -117,16 +118,13 @@ SCHEMA = {
     },
 }
 
-# keys of [kernel] that each family accepts, besides "family"
+# keys of [kernel] that each family accepts, besides "family": the fields of
+# its class in field order, less the values the run injects (delta, dim and
+# the [breaker] section), with a micro-modulus field read as c0 and micro
 FAMILY_KEYS = {
-    "anti-plane-shear": ("c", "u_star"),
-    "quadratic": ("alpha",),
-    "pmb": ("c0", "micro"),
-    "rod": ("c0", "micro"),
-    "convolution": ("c", "exponent"),
-    "nonlinear-p": ("kappa", "p", "alpha"),
-    "nano-membrane": ("c", "g"),
-    "nano-fiber": ("c", "g", "vdw_a", "vdw_b"),
+    family: tuple(key for f in fields(cls) if f.name not in ("delta", "dim", "breaker")
+                  for key in (("c0", "micro") if f.name == "micro" else (f.name,)))
+    for family, cls in KERNEL_FAMILIES.items()
 }
 
 # keys of [scenario] that each preset reads, besides "preset"
@@ -230,12 +228,6 @@ def read_keys(cfg: RunConfig, section: str) -> tuple:
     return (selector,) + table[cfg.get(section, selector)]
 
 
-def _nonlinear_alpha_ok(cfg):
-    """alpha doubles as the quadratic coefficient; the open-interval bound
-    applies only where the power-law family consumes it."""
-    return 0.0 < cfg.get("kernel", "alpha") < 1.0
-
-
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Cross-key consistency checks after per-key parsing."""
     dim = cfg.get("domain", "dim")
@@ -246,11 +238,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 f"[domain] {key}: needs exactly {dim} entries for dim = {dim}, "
                 f"got {len(seq)}"
             )
-    family = cfg.get("kernel", "family")
-    if family == "nonlinear-p" and not _nonlinear_alpha_ok(cfg):
+    # alpha is also the quadratic coefficient (any positive value, checked
+    # where that model is built); (0, 1) bounds only the power-law exponent
+    alpha = cfg.get("kernel", "alpha")
+    if cfg.get("kernel", "family") == "nonlinear-p" and not 0.0 < alpha < 1.0:
         raise ConfigError(
             f"[kernel] alpha: alpha must lie in the open interval (0, 1) for "
-            f"the nonlinear-p family, got {cfg.get('kernel', 'alpha')}"
+            f"the nonlinear-p family, got {alpha}"
         )
     if cfg.get("breaker", "mode") == "critical-stretch" and not (
         cfg.get("breaker", "s0") > 0.0

@@ -79,8 +79,6 @@ class BondNetwork:
     reverse_weights: np.ndarray  # (M,) weight onto neighbor = V_source * partial volume factor
     mu: np.ndarray               # (M,) bond intactness, starts at 1
     accum: np.ndarray            # (M,) graded-breakage accumulator, starts at 0
-    delta: float
-    spacing: float
     n_points: int
 
     @property
@@ -324,8 +322,6 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
         reverse_weights=reverse_weights,
         mu=np.ones(source.shape[0]),
         accum=np.zeros(source.shape[0]),
-        delta=float(delta),
-        spacing=cloud.spacing,
         n_points=cloud.n_points,
     )
 

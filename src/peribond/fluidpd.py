@@ -227,18 +227,17 @@ def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
               on_snapshot=None) -> dynamics.RunResult:
     """Advance the memory dynamics through the solid run's loop and series.
 
-    infinite memory runs the solid integrator on the reference bond network
-    (bit-for-bit the same trajectory). finite memory rediscovers bonds
-    against the trailing shape each evaluation. zero memory advects
-    particles under the velocity-difference kernel; its potential column is
-    zero (the viscous kernel stores no elastic energy).
+    finite memory rediscovers bonds against the trailing shape each
+    evaluation. zero memory advects particles under the velocity-difference
+    kernel; its potential column is zero (the viscous kernel stores no
+    elastic energy). infinite memory is the solid theory on a network this
+    function does not hold (a preset's may carry a seeded crack), so it is
+    refused: run dynamics.run on that network.
     """
+    if memory.mode == "infinite":
+        raise ConfigError("[memory] mode: infinite memory runs the reference bond "
+                          "network; integrate it with dynamics.run")
     options = dict(load=load, record_every=record_every, snapshot_every=snapshot_every,
                    on_snapshot=on_snapshot)
-    if memory.mode == "infinite":
-        from .discretization import build_bonds
-
-        bonds = build_bonds(cloud, horizon)
-        return dynamics.run(cloud, bonds, model, state, dt, n_steps, **options)
     op = MemoryForce(cloud, horizon, model, memory, state, dt)
     return dynamics.integrate(cloud, op, state, dt, n_steps, **options)

@@ -10,28 +10,17 @@ before anything is built. The builders keep a keyword interface to the
 same path: each overlays its keywords on its preset's table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import math
 
 import numpy as np
 
 from . import dynamics
-from .config import RunConfig, default_config, validate_config
+from .config import FAMILY_KEYS, RunConfig, default_config, validate_config
 from .discretization import HorizonConfig, PointCloud, build_bonds, build_grid
 from .errors import ConfigError
 from .fluidpd import MemoryConfig
-from .kernels import (
-    AntiPlaneShear,
-    BondBreaker,
-    ConstructiveRod,
-    Convolution,
-    MicroModulus,
-    NanoFiber,
-    NanoMembrane,
-    NonlinearP,
-    PMB,
-    QuadraticPotential,
-)
+from .kernels import KERNEL_FAMILIES, BondBreaker, MicroModulus
 
 
 @dataclass
@@ -269,43 +258,38 @@ PRESET_NEEDS = {
                      "fluid-shear shears along the second axis, so it needs dim >= 2")],
 }
 
-_BREAKER_FAMILIES = ("pmb", "nano-membrane", "nano-fiber")
+
+_FIELD_NAMES = {family: {f.name for f in fields(cls)}
+                for family, cls in KERNEL_FAMILIES.items()}
 
 
 def model_from_config(cfg: RunConfig, delta: float, dim: int):
-    """Instantiate the configured kernel family with the horizon injected."""
+    """Build the configured kernel family by one rule: its FAMILY_KEYS from
+    [kernel] (micro and c0 as one MicroModulus) plus, where the class has the
+    field, the run's delta, dim and [breaker] section."""
     k = cfg.sections["kernel"]
     family = k["family"]
+    if family not in KERNEL_FAMILIES:  # a value set past the parser
+        raise ConfigError(f"[kernel] family: unhandled family {family!r}")
+    takes = _FIELD_NAMES[family]
     breaker = BondBreaker(**cfg.sections["breaker"])
-    if breaker.mode != "none" and family not in _BREAKER_FAMILIES:
+    if breaker.mode != "none" and "breaker" not in takes:
+        supported = [name for name in KERNEL_FAMILIES if "breaker" in _FIELD_NAMES[name]]
         raise ConfigError(
             f"[breaker] mode: family {family!r} does not take a breaker "
-            f"(supported: {', '.join(_BREAKER_FAMILIES)})"
+            f"(supported: {', '.join(supported)})"
         )
-    if family == "anti-plane-shear":
-        return AntiPlaneShear(c=k["c"], u_star=k["u_star"], delta=delta)
-    if family == "quadratic":
-        if not k["alpha"] > 0.0:
-            raise ConfigError(
-                f"[kernel] alpha: must be positive for the quadratic family, "
-                f"got {k['alpha']}"
-            )
-        return QuadraticPotential(alpha=k["alpha"], delta=delta)
-    if family == "pmb":
-        return PMB(micro=MicroModulus(k["micro"], k["c0"], delta), breaker=breaker)
-    if family == "rod":
-        return ConstructiveRod(micro=MicroModulus(k["micro"], k["c0"], delta))
-    if family == "convolution":
-        return Convolution(c=k["c"], exponent=k["exponent"], delta=delta)
-    if family == "nonlinear-p":
-        return NonlinearP(kappa=k["kappa"], p=k["p"], alpha=k["alpha"],
-                          dim=dim, delta=delta)
-    if family == "nano-membrane":
-        return NanoMembrane(c=k["c"], g=k["g"], delta=delta, breaker=breaker)
-    if family == "nano-fiber":
-        return NanoFiber(c=k["c"], vdw_a=k["vdw_a"], vdw_b=k["vdw_b"],
-                         delta=delta, g=k["g"], breaker=breaker)
-    raise ConfigError(f"[kernel] family: unhandled family {family!r}")
+    if family == "quadratic" and not k["alpha"] > 0.0:
+        raise ConfigError(
+            f"[kernel] alpha: must be positive for the quadratic family, "
+            f"got {k['alpha']}"
+        )
+    values = {key: k[key] for key in FAMILY_KEYS[family]}
+    if "micro" in values:
+        values["micro"] = MicroModulus(values["micro"], values.pop("c0"), delta)
+    injected = {"delta": delta, "dim": dim, "breaker": breaker}
+    values.update((name, value) for name, value in injected.items() if name in takes)
+    return KERNEL_FAMILIES[family](**values)
 
 
 def load_from_config(cfg: RunConfig):

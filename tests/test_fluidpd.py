@@ -16,7 +16,6 @@ from peribond import (
     run_fluid,
     zero_state,
 )
-from peribond import dynamics
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
 from peribond.fluidpd import FluidState, fluid_state
 from peribond.kernels import Convolution, MicroModulus, PMB
@@ -153,21 +152,15 @@ def test_coincident_particles_rejected():
                     HorizonConfig(0.6))
 
 
-def test_run_fluid_infinite_delegates_to_solid_run():
+def test_run_fluid_refuses_infinite_memory():
+    # infinite memory is the solid theory: its caller runs dynamics.run on
+    # the setup's own network, which may carry a seeded crack
     cloud = build_grid((1.0,), 0.0625, 1.0, periodic=(True,))
-    horizon = HorizonConfig(0.25)
     model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.25))
-    state_a = zero_state(cloud)
-    state_a.u[:, 0] = 1e-3 * np.sin(2.0 * math.pi * cloud.positions[:, 0])
-    state_b = state_a.copy()
-
-    bonds = build_bonds(cloud, horizon)
-    solid = dynamics.run(cloud, bonds, model, state_a, 0.01, 40, record_every=10)
-    fluid = run_fluid(cloud, horizon, model, MemoryConfig(), state_b, 0.01, 40,
-                      record_every=10)
-    for col in solid.columns:
-        assert np.array_equal(solid.series[col], fluid.series[col]), col
-    assert np.array_equal(state_a.u, state_b.u)
+    state = zero_state(cloud)
+    with pytest.raises(ConfigError, match=r"^\[memory\] mode: .*dynamics\.run"):
+        run_fluid(cloud, HorizonConfig(0.25), model, MemoryConfig(), state, 0.01, 40)
+    assert state.step == 0
 
 
 def test_run_fluid_zero_memory_shear_decays():

@@ -190,10 +190,16 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("preset, text, key", REFUSALS)
-def test_preset_hooks_refuse_keys_they_cannot_honour(preset, text, key):
+def test_preset_hooks_refuse_keys_they_cannot_honour(recwarn, preset, text, key):
     cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
     with pytest.raises(ConfigError, match=re.escape(key)):
         materialize(cfg)
+    # a horizon that reaches no neighbor is refused after build_bonds warns
+    heard = [(w.category, str(w.message)) for w in recwarn]
+    expected = ["is below the grid spacing", "have empty horizons"]
+    assert len(heard) == (len(expected) if key == "[horizon] delta" else 0)
+    for (category, message), part in zip(heard, expected):
+        assert category is UserWarning and part in message
 
 
 @pytest.mark.parametrize("preset, text, key",
