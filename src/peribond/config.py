@@ -86,7 +86,8 @@ SCHEMA = {
         "center": Field("float", 0.5),
     },
     "time": {
-        "dt": Field("dt", "auto", constraint="must be finite, positive or 'auto'"),
+        "dt": Field("dt", "auto", constraint="must be finite, positive or 'auto'",
+                    check=lambda v: v == "auto" or 0.0 < v < math.inf),
         "steps": Field("int", 100, constraint="must be non-negative",
                        check=lambda v: v >= 0),
         "record_every": Field("int", 1, constraint="must be at least 1",
@@ -163,34 +164,44 @@ class RunConfig:
     def set(self, section, key, value):
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown key [{section}] {key}")
-        self.sections[section][key] = value
+        self.sections[section][key] = check_value(section, key, value)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.sections == other.sections
 
 
+def check_value(section, key, value, lineno=0):
+    """value if it meets the choices and the constraint of [section] key,
+    else a ConfigError naming the key (and the config line, when given)."""
+    spec = SCHEMA[section][key]
+    if spec.choices and value not in spec.choices:
+        reason = f"must be one of {', '.join(spec.choices)}; got {value!r}"
+    elif spec.check is not None and not spec.check(value):
+        reason = f"{spec.constraint}, got {value}"
+    else:
+        return value
+    raise ConfigError(f"[{section}] {key}: {reason}" + (f" (line {lineno})" if lineno else ""))
+
+
 def _parse_scalar(section, key, spec, raw, lineno):
-    where = f"[{section}] {key}"
     raw = raw.strip()
 
     def fail(reason):
-        at = f" (line {lineno})" if lineno else ""
-        return ConfigError(f"{where}: {reason}{at}")
+        return ConfigError(f"[{section}] {key}: {reason}"
+                           + (f" (line {lineno})" if lineno else ""))
 
     if spec.kind == "int":
         try:
             value = int(raw)
         except ValueError:
             raise fail(f"expected an integer, got {raw!r}") from None
+    elif spec.kind == "dt" and raw == "auto":
+        value = raw
     elif spec.kind in ("float", "dt"):
-        if spec.kind == "dt" and raw == "auto":
-            return "auto"
         try:
             value = float(raw)
         except ValueError:
             raise fail(f"expected a number, got {raw!r}") from None
-        if spec.kind == "dt" and not 0.0 < value < math.inf:
-            raise fail(f"{spec.constraint}, got {raw}")
     elif spec.kind == "bool":
         if raw not in ("true", "false"):
             raise fail(f"expected true or false, got {raw!r}")
@@ -211,12 +222,7 @@ def _parse_scalar(section, key, spec, raw, lineno):
         value = tuple(p == "true" for p in parts)
     else:  # pragma: no cover - schema is static
         raise fail(f"unhandled kind {spec.kind}")
-
-    if spec.choices and value not in spec.choices:
-        raise fail(f"must be one of {', '.join(spec.choices)}; got {value!r}")
-    if spec.check is not None and not spec.check(value):
-        raise fail(f"{spec.constraint}, got {raw}")
-    return value
+    return check_value(section, key, value, lineno)
 
 
 def read_keys(cfg: RunConfig, section: str) -> tuple:
@@ -246,11 +252,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             f"[kernel] alpha: alpha must lie in the open interval (0, 1) for "
             f"the nonlinear-p family, got {alpha}"
         )
-    if cfg.get("breaker", "mode") == "critical-stretch" and not (
-        cfg.get("breaker", "s0") > 0.0
-    ):
-        raise ConfigError("[breaker] s0: must be positive, got "
-                          f"{cfg.get('breaker', 's0')}")
     if cfg.get("breaker", "mode") == "theta-eps" and not (
         cfg.get("breaker", "eps") > 0.0
     ):
@@ -334,10 +335,7 @@ def parse_config(text: str, forced_preset: str = None) -> RunConfig:
                 f"[scenario] preset: set both on the command line "
                 f"({forced_preset!r}) and in the config (line {line})"
             )
-        spec = SCHEMA["scenario"]["preset"]
-        explicit[("scenario", "preset")] = (
-            _parse_scalar("scenario", "preset", spec, forced_preset, 0), 0,
-        )
+        explicit[("scenario", "preset")] = (check_value("scenario", "preset", forced_preset), 0)
 
     cfg = default_config()
     preset_name = explicit.get(("scenario", "preset"), (None, 0))[0]

@@ -127,12 +127,6 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
     return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
 
 
-def _accumulate(source, values, n_points):
-    """Deterministic per-point segment sum of per-bond vector values."""
-    return np.column_stack([np.bincount(source, weights=values[:, k], minlength=n_points)
-                            for k in range(values.shape[1])])
-
-
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
                 model=None, velocities=None):
     """Zero-memory force: kernel over current-configuration neighbors.
@@ -142,11 +136,14 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     (Galilean invariant by construction). velocities optionally overrides
     state.velocities. Every call searches the current shape, also the second
     call at one shape in a step: a call keeps no state that could reuse one.
+    Pair vectors are handled one contiguous column per axis; the dot product
+    is a running column sum, the same additions in the same order as
+    np.sum(dv * n, axis=1).
     """
     v = state.velocities if velocities is None else velocities
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta,
                                                  cloud.box, cloud.periodic)
-    if np.any(dist == 0.0):
+    if not dist.all():
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
             f"particles {int(source[k])} and {int(neighbors[k])} coincide "
@@ -155,15 +152,21 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     weights = np.take(cloud.volumes, neighbors)
     if horizon.partial_volume == "linear" and dist.size:
         weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
-    dv = np.take(v, neighbors, axis=0) - np.take(v, source, axis=0)
+    dv = [np.take(v[:, k], neighbors) - np.take(v[:, k], source) for k in range(v.shape[1])]
     if memory.fluid_kernel == "linear":
-        n = xi / dist[:, None]
-        f = memory.coefficient * np.sum(dv * n, axis=1)[:, None] * n
+        f = [xi[:, k] / dist for k in range(len(dv))]   # n_k, scaled into f_k below
+        dot = dv[0] * f[0]
+        for dv_k, n_k in zip(dv[1:], f[1:]):
+            dot += dv_k * n_k
+        dot *= memory.coefficient
+        for n_k in f:
+            n_k *= dot
     else:
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
-        f = model.force(xi, memory.coefficient * dv)
-    return _accumulate(source, f * weights[:, None], cloud.n_points)
+        f = model.force(xi, memory.coefficient * np.column_stack(dv)).T
+    return np.column_stack([np.bincount(source, weights=f_k * weights, minlength=cloud.n_points)
+                            for f_k in f])
 
 
 class MemoryForce:

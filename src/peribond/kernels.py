@@ -257,7 +257,9 @@ class KernelModel:
 
     def force(self, xi, eta, mu=None):
         z, q, r, k, mu, single = self._bonds(xi, eta, mu)
-        z *= self._gate(self._coef(q, r, k, mu), r)[:, None]
+        coef = self._gate(self._coef(q, r, k, mu), r)
+        for z_k in z.T:
+            z_k *= coef
         b = self._binding
         if b is not None and r is b.r:
             b.q, b.f = q, z
@@ -312,7 +314,7 @@ class KernelModel:
                 raise ValueError(f"{self.family}: zero reference separation in bond array")
             k = self._radial(r)
         q = lengths(z)
-        if self.needs_direction and np.any(q == 0.0):
+        if self.needs_direction and not q.all():
             rows = np.flatnonzero(q == 0.0)[:8].tolist()
             raise SingularConfigurationError(
                 f"{self.family}: deformed bond length reached zero "

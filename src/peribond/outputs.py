@@ -14,6 +14,7 @@ from .errors import SimulationError
 
 ENV_OUTPUT_DIR = "PERIBOND_OUTPUT_DIR"
 _AXES = ("x", "y", "z")
+_BLOCK_ROWS = 512   # rows formatted per call: fewer calls, bounded memory
 
 
 def fmt(x) -> str:
@@ -27,14 +28,17 @@ def resolve_output_dir(configured: str) -> str:
 
 def _write_table(path, header, table):
     """Header line, then one line per row of a float table, each value as fmt
-    writes it: one format string per row gives the same bytes in fewer
-    calls, and converting row by row keeps no second copy of the table."""
+    writes it: one format string per block of rows gives the same bytes in
+    fewer calls, and converting block by block keeps no second copy of the
+    table."""
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(row_format % tuple(row.tolist()) for row in table)
+            for start in range(0, len(table), _BLOCK_ROWS):
+                rows = table[start:start + _BLOCK_ROWS]
+                fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
     except OSError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from exc
     return path

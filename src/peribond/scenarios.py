@@ -54,11 +54,13 @@ def linearized_modulus(cloud, bonds, model, point=0, axis=0):
 
 
 def _preset_setup(preset: str, values: dict) -> SimSetup:
-    """Materialize a preset's table overlaid with a builder's keyword values."""
+    """Materialize a preset's table overlaid with builder keywords checked by RunConfig.set."""
     cfg = default_config()
-    for table in (PRESET_CONFIGS[preset], values):
-        for section, keys in table.items():
-            cfg.sections[section].update(keys)
+    for section, keys in PRESET_CONFIGS[preset].items():
+        cfg.sections[section].update(keys)
+    for section, keys in values.items():
+        for key, value in keys.items():
+            cfg.set(section, key, value)
     return materialize(validate_config(cfg))
 
 
