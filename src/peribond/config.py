@@ -2,28 +2,32 @@
 
 The format is deliberately small: sections in brackets, one key per line,
 `#` starts a comment, values are scalars or comma-separated lists. Every
-key is declared in the schema below with a type, a default, and an optional
+key is declared in the schema below with a kind, a default, and an optional
 constraint; unknown sections or keys are rejected, duplicates are rejected
-naming the line, and every constraint failure names section, key, and the
-constraint itself. parse_config(print_config(cfg)) reproduces cfg exactly
-(floats are serialized with 17 significant digits).
+naming the line, and every failure names section, key, and the rule broken.
+parse_config(print_config(cfg)) reproduces cfg exactly (floats are
+serialized with 17 significant digits).
+
+This module is the one gate. check_value refuses a value of the wrong kind
+or out of range, from a file, RunConfig.set or a builder keyword alike;
+validate_config refuses every combination of keys that no run can honour,
+the presets' needs (PRESET_NEEDS) and the kernel refusals (check_kernel)
+included. Each preset is declared once, in PRESET_CONFIGS.
 """
 
 from dataclasses import dataclass, field, fields
 import math
+import numbers
 
 from .discretization import PARTIAL_VOLUME_MODES
 from .dynamics import LOAD_PRESETS
 from .errors import ConfigError
 from .fluidpd import FLUID_KERNELS, MEMORY_MODES
-from .kernels import BREAKER_MODES, KERNEL_FAMILIES, MICRO_FAMILIES
-
-_SENTINEL = object()
-
+from .kernels import BREAKER_MODES, KERNEL_FAMILIES, MICRO_FAMILIES, BondBreaker
 
 @dataclass(frozen=True)
 class Field:
-    kind: str                # int | float | bool | str | float_list | bool_list | dt
+    kind: str                # a key of KINDS
     default: object
     choices: tuple = ()
     constraint: str = ""     # human-readable; shown verbatim in errors
@@ -36,6 +40,100 @@ def _positive(v):
 
 def _non_negative(v):
     return v >= 0.0
+
+
+# float and int first: they spare the common values the slower ABC checks
+def _number(v):
+    return isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+
+
+_FLAGS = {"true": True, "false": False}
+
+
+def _items(raw):
+    return [p.strip() for p in raw.split(",")] if raw else []
+
+
+def _number_text(v):
+    return "%.17g" % float(v)
+
+
+@dataclass(frozen=True)
+class Kind:
+    words: str     # what a value must be, in a refusal's words
+    test: object   # True for a value of this kind
+    parse: object  # the value of a stripped config text; raises ValueError or KeyError
+    text: object   # the config text of a value, which parse reads back exactly
+
+
+# numpy scalars pass as numbers, ints as floats
+KINDS = {
+    "int": Kind("an integer",
+                lambda v: isinstance(v, (int, numbers.Integral)) and not isinstance(v, bool),
+                int, lambda v: str(int(v))),
+    "float": Kind("a number", _number, float, _number_text),
+    "dt": Kind("a number", lambda v: v == "auto" if isinstance(v, str) else _number(v),
+               lambda raw: raw if raw == "auto" else float(raw),
+               lambda v: v if v == "auto" else _number_text(v)),
+    "str": Kind("a string", lambda v: isinstance(v, str), str, str),
+    "float_list": Kind("comma-separated numbers",
+                       lambda v: isinstance(v, (tuple, list)) and all(map(_number, v)),
+                       lambda raw: tuple(float(p) for p in _items(raw) if p != ""),
+                       lambda v: ", ".join(map(_number_text, v))),
+    "bool_list": Kind("comma-separated true/false",
+                      lambda v: isinstance(v, (tuple, list))
+                      and all(isinstance(x, bool) for x in v),
+                      lambda raw: tuple(_FLAGS[p] for p in _items(raw)),
+                      lambda v: ", ".join("true" if x else "false" for x in v)),
+}
+
+# Config-table form of the shipped presets: what parse_config overlays when
+# [scenario] preset names one of these (keys written explicitly win), and
+# what each builder overlays its keywords on. Their hooks are in scenarios.
+PRESET_CONFIGS = {
+    "bar1d-wave": {
+        "domain": {"dim": 1, "box": (1.0,), "h": 0.025, "rho": 1.0,
+                   "periodic": (True,)},
+        "horizon": {"delta": 0.1},
+        "kernel": {"family": "pmb", "c0": 1.0, "micro": "cylindrical"},
+        "time": {"dt": "auto", "steps": 0, "record_every": 10, "safety": 0.5},
+        "scenario": {"preset": "bar1d-wave", "amplitude": 1e-3, "periods": 1.0},
+    },
+    "plate2d-precrack": {
+        "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 64.0, "rho": 1.0,
+                   "periodic": (False, False)},
+        "horizon": {"delta": 3.0 / 64.0},
+        "kernel": {"family": "pmb", "c0": 1.0, "micro": "cylindrical"},
+        "breaker": {"mode": "critical-stretch", "s0": 0.03},
+        "load": {"preset": "opposing-last-axis", "amplitude": (0.0, 0.05),
+                 "center": 0.5},
+        "time": {"dt": "auto", "steps": 800, "record_every": 100,
+                 "safety": 0.5},
+        "scenario": {"preset": "plate2d-precrack", "v0": 0.005},
+    },
+    "fluid-shear": {
+        "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 24.0, "rho": 1.0,
+                   "periodic": (True, True)},
+        "horizon": {"delta": 0.125},
+        "memory": {"mode": "zero", "coefficient": 50.0, "fluid_kernel": "linear"},
+        "time": {"dt": 0.02, "steps": 2000, "record_every": 10},
+        "scenario": {"preset": "fluid-shear", "v0": 1.0},
+    },
+}
+
+# Key values each preset's hook cannot honour, refused by validate_config:
+# (section, key, values the hook takes, why).
+PRESET_NEEDS = {
+    "bar1d-wave": [("memory", "mode", ("infinite", "finite"), "bar1d-wave takes its wave "
+                    "speed from the bond network, which zero memory does not build")],
+    "plate2d-precrack": [
+        ("domain", "dim", (2,), "plate2d-precrack is a 2D plate"),
+        ("kernel", "family", ("pmb",), "plate2d-precrack scales the pmb bond constant"),
+        ("memory", "mode", ("infinite",),
+         "plate2d-precrack seeds its crack in the reference bond network")],
+    "fluid-shear": [("domain", "dim", (2, 3),
+                     "fluid-shear shears along the second axis, so it needs dim >= 2")],
+}
 
 
 SCHEMA = {
@@ -108,9 +206,7 @@ SCHEMA = {
                                 check=lambda v: v >= 0),
     },
     "scenario": {
-        "preset": Field("str", "none",
-                        choices=("none", "bar1d-wave", "plate2d-precrack",
-                                 "fluid-shear")),
+        "preset": Field("str", "none", choices=("none",) + tuple(PRESET_CONFIGS)),
         "amplitude": Field("float", 1e-3, constraint="must be positive",
                            check=_positive),
         "periods": Field("float", 1.0, constraint="must be positive",
@@ -128,12 +224,14 @@ FAMILY_KEYS = {
     for family, cls in KERNEL_FAMILIES.items()
 }
 
+# kernel families whose class takes the [breaker] section
+BREAKER_FAMILIES = tuple(family for family, cls in KERNEL_FAMILIES.items()
+                         if "breaker" in {f.name for f in fields(cls)})
+
 # keys of [scenario] that each preset reads, besides "preset"
-PRESET_KEYS = {
-    "none": (),
-    "bar1d-wave": ("amplitude", "periods"),
-    "plate2d-precrack": ("v0",),
-    "fluid-shear": ("v0",),
+PRESET_KEYS = {"none": ()} | {
+    preset: tuple(key for key in table["scenario"] if key != "preset")
+    for preset, table in PRESET_CONFIGS.items()
 }
 
 # section -> (selector key, {selector value: the other keys it reads}); an
@@ -166,63 +264,25 @@ class RunConfig:
             raise ConfigError(f"unknown key [{section}] {key}")
         self.sections[section][key] = check_value(section, key, value)
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.sections == other.sections
+
+def _refusal(section, key, reason, lineno=0):
+    return ConfigError(f"[{section}] {key}: {reason}" + (f" (line {lineno})" if lineno else ""))
 
 
 def check_value(section, key, value, lineno=0):
-    """value if it meets the choices and the constraint of [section] key,
-    else a ConfigError naming the key (and the config line, when given)."""
+    """value if it has its field's kind and meets the choices and the
+    constraint of [section] key, else a ConfigError naming the key (and the
+    config line, when given)."""
     spec = SCHEMA[section][key]
-    if spec.choices and value not in spec.choices:
+    if not KINDS[spec.kind].test(value):
+        reason = f"expected {KINDS[spec.kind].words}, got {value!r}"
+    elif spec.choices and value not in spec.choices:
         reason = f"must be one of {', '.join(spec.choices)}; got {value!r}"
     elif spec.check is not None and not spec.check(value):
         reason = f"{spec.constraint}, got {value}"
     else:
         return value
-    raise ConfigError(f"[{section}] {key}: {reason}" + (f" (line {lineno})" if lineno else ""))
-
-
-def _parse_scalar(section, key, spec, raw, lineno):
-    raw = raw.strip()
-
-    def fail(reason):
-        return ConfigError(f"[{section}] {key}: {reason}"
-                           + (f" (line {lineno})" if lineno else ""))
-
-    if spec.kind == "int":
-        try:
-            value = int(raw)
-        except ValueError:
-            raise fail(f"expected an integer, got {raw!r}") from None
-    elif spec.kind == "dt" and raw == "auto":
-        value = raw
-    elif spec.kind in ("float", "dt"):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise fail(f"expected a number, got {raw!r}") from None
-    elif spec.kind == "bool":
-        if raw not in ("true", "false"):
-            raise fail(f"expected true or false, got {raw!r}")
-        value = raw == "true"
-    elif spec.kind == "str":
-        value = raw
-    elif spec.kind == "float_list":
-        parts = [p.strip() for p in raw.split(",")] if raw else []
-        try:
-            value = tuple(float(p) for p in parts if p != "")
-        except ValueError:
-            raise fail(f"expected comma-separated numbers, got {raw!r}") from None
-    elif spec.kind == "bool_list":
-        parts = [p.strip() for p in raw.split(",")] if raw else []
-        for p in parts:
-            if p not in ("true", "false"):
-                raise fail(f"expected comma-separated true/false, got {raw!r}")
-        value = tuple(p == "true" for p in parts)
-    else:  # pragma: no cover - schema is static
-        raise fail(f"unhandled kind {spec.kind}")
-    return check_value(section, key, value, lineno)
+    raise _refusal(section, key, reason, lineno)
 
 
 def read_keys(cfg: RunConfig, section: str) -> tuple:
@@ -234,8 +294,29 @@ def read_keys(cfg: RunConfig, section: str) -> tuple:
     return (selector,) + table[cfg.get(section, selector)]
 
 
+def check_kernel(cfg: RunConfig) -> BondBreaker:
+    """The [breaker] section as a BondBreaker, after refusing a family
+    outside KERNEL_FAMILIES, a breaker on a family that takes none, and a
+    non-positive quadratic alpha, in that order."""
+    family = cfg.get("kernel", "family")
+    if family not in KERNEL_FAMILIES:  # a value written past check_value
+        raise ConfigError(f"[kernel] family: unhandled family {family!r}")
+    breaker = BondBreaker(**cfg.sections["breaker"])
+    if breaker.active and family not in BREAKER_FAMILIES:
+        raise ConfigError(
+            f"[breaker] mode: family {family!r} does not take a breaker "
+            f"(supported: {', '.join(BREAKER_FAMILIES)})"
+        )
+    if family == "quadratic" and not cfg.get("kernel", "alpha") > 0.0:
+        raise ConfigError("[kernel] alpha: must be positive for the quadratic family, "
+                          f"got {cfg.get('kernel', 'alpha')}")
+    return breaker
+
+
 def validate_config(cfg: RunConfig) -> RunConfig:
-    """Cross-key consistency checks after per-key parsing."""
+    """Cross-key checks after the per-key ones: cfg if some run can honour
+    every key together, else a ConfigError naming the first key that
+    cannot be honoured."""
     dim = cfg.get("domain", "dim")
     for key in ("box", "periodic"):
         seq = cfg.get("domain", key)
@@ -245,20 +326,16 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 f"got {len(seq)}"
             )
     # alpha is also the quadratic coefficient (any positive value, checked
-    # where that model is built); (0, 1) bounds only the power-law exponent
+    # by check_kernel); (0, 1) bounds only the power-law exponent
     alpha = cfg.get("kernel", "alpha")
     if cfg.get("kernel", "family") == "nonlinear-p" and not 0.0 < alpha < 1.0:
         raise ConfigError(
             f"[kernel] alpha: alpha must lie in the open interval (0, 1) for "
             f"the nonlinear-p family, got {alpha}"
         )
-    if cfg.get("breaker", "mode") == "theta-eps" and not (
-        cfg.get("breaker", "eps") > 0.0
-    ):
-        raise ConfigError(
-            "[breaker] eps: must be positive for the theta-eps breaker, got "
-            f"{cfg.get('breaker', 'eps')}"
-        )
+    eps = cfg.get("breaker", "eps")
+    if cfg.get("breaker", "mode") == "theta-eps" and not eps > 0.0:
+        raise ConfigError(f"[breaker] eps: must be positive for the theta-eps breaker, got {eps}")
     memory_mode = cfg.get("memory", "mode")
     if cfg.get("breaker", "mode") != "none" and memory_mode != "infinite":
         raise ConfigError(
@@ -272,27 +349,28 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             f"[load] amplitude: needs exactly {dim} entries for dim = {dim}, "
             f"got {len(amp)}"
         )
-    if cfg.get("memory", "mode") == "finite":
-        s = cfg.get("memory", "s")
-        if not (s > 0.0 and math.isfinite(s)):
-            raise ConfigError(
-                f"[memory] s: must be positive and finite for finite memory, got {s}"
-            )
+    s = cfg.get("memory", "s")
+    if memory_mode == "finite" and not (s > 0.0 and math.isfinite(s)):
+        raise ConfigError(f"[memory] s: must be positive and finite for finite memory, got {s}")
+    for section, key, allowed, why in PRESET_NEEDS.get(cfg.get("scenario", "preset"), ()):
+        if cfg.get(section, key) not in allowed:
+            raise ConfigError(f"[{section}] {key}: {why}; got {cfg.get(section, key)!r}")
+    if cfg.get("time", "dt") == "auto" and memory_mode == "zero":
+        raise ConfigError("[time] dt: auto needs a bond network; zero-memory runs "
+                          "must set dt explicitly")
+    check_kernel(cfg)
     return cfg
 
 
 def default_config() -> RunConfig:
-    sections = {
-        section: {key: spec.default for key, spec in keys.items()}
-        for section, keys in SCHEMA.items()
-    }
-    return RunConfig(sections)
+    return RunConfig({section: {key: spec.default for key, spec in keys.items()}
+                      for section, keys in SCHEMA.items()})
 
 
 def parse_config(text: str, forced_preset: str = None) -> RunConfig:
     """Parse, overlay the scenario preset (explicit keys win), validate.
 
-    The preset's table (scenarios.PRESET_CONFIGS) makes a one-line config
+    The preset's table (PRESET_CONFIGS) makes a one-line config
     select a full experiment while any explicitly written key overrides it.
     forced_preset is the command-line preset flag; it conflicts with an
     explicit `[scenario] preset` line rather than silently losing to it.
@@ -325,8 +403,12 @@ def parse_config(text: str, forced_preset: str = None) -> RunConfig:
                 f"duplicate key [{section}] {key} (line {lineno}, first set on "
                 f"line {first})"
             )
-        value = _parse_scalar(section, key, SCHEMA[section][key], raw, lineno)
-        explicit[(section, key)] = (value, lineno)
+        kind = KINDS[SCHEMA[section][key].kind]
+        try:
+            value = kind.parse(raw)
+        except (ValueError, KeyError):
+            raise _refusal(section, key, f"expected {kind.words}, got {raw!r}", lineno) from None
+        explicit[(section, key)] = (check_value(section, key, value, lineno), lineno)
 
     if forced_preset is not None:
         if ("scenario", "preset") in explicit:
@@ -339,11 +421,8 @@ def parse_config(text: str, forced_preset: str = None) -> RunConfig:
 
     cfg = default_config()
     preset_name = explicit.get(("scenario", "preset"), (None, 0))[0]
-    if preset_name and preset_name != "none":
-        from .scenarios import PRESET_CONFIGS
-
-        for psection, pkeys in PRESET_CONFIGS[preset_name].items():
-            cfg.sections[psection].update(pkeys)
+    for psection, pkeys in PRESET_CONFIGS.get(preset_name, {}).items():
+        cfg.sections[psection].update(pkeys)
     for (esection, ekey), (value, _) in explicit.items():
         cfg.sections[esection][ekey] = value
 
@@ -362,19 +441,7 @@ def parse_config(text: str, forced_preset: str = None) -> RunConfig:
 
 
 def _format_value(spec, value):
-    if spec.kind == "int":
-        return str(int(value))
-    if spec.kind == "float" or (spec.kind == "dt" and value != "auto"):
-        return "%.17g" % float(value)
-    if spec.kind == "dt":
-        return "auto"
-    if spec.kind == "bool":
-        return "true" if value else "false"
-    if spec.kind == "float_list":
-        return ", ".join("%.17g" % float(v) for v in value)
-    if spec.kind == "bool_list":
-        return ", ".join("true" if v else "false" for v in value)
-    return str(value)
+    return KINDS[spec.kind].text(value)
 
 
 def print_config(cfg: RunConfig) -> str:

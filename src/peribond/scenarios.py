@@ -1,13 +1,12 @@
 """Shipped experiment presets and the config -> runnable-objects bridge.
 
-materialize(cfg) is the one path from a config to a run: every section
-builds its object, then the preset's hook adds only what the config format
-cannot say (initial fields, a seeded crack, an oracle); an auto dt the hook
-leaves unset comes from stable_dt last. Each preset is one table in
-PRESET_CONFIGS, one hook in PRESET_SETUPS and, in PRESET_NEEDS, the key
-values its hook cannot honour: those raise a ConfigError naming the key
-before anything is built. The builders keep a keyword interface to the
-same path: each overlays its keywords on its preset's table.
+materialize(cfg) is the one path from a config to a run: it passes cfg
+through config.validate_config, then only builds. Every section builds its
+object, then the preset's hook in PRESET_SETUPS adds only what the config
+format cannot say (initial fields, a seeded crack, an oracle); an auto dt
+the hook leaves unset comes from stable_dt last. A hook refuses only a
+horizon that reaches no neighbor, which needs the bond network. The preset
+tables are config's. Each builder overlays its keywords on its table.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -16,11 +15,13 @@ import math
 import numpy as np
 
 from . import dynamics
-from .config import FAMILY_KEYS, RunConfig, default_config, validate_config
+# the preset tables are config's; imported here, they still resolve as scenarios.PRESET_*
+from .config import (FAMILY_KEYS, PRESET_CONFIGS, PRESET_NEEDS, RunConfig,  # noqa: F401
+                     check_kernel, default_config, validate_config)
 from .discretization import HorizonConfig, PointCloud, build_bonds, build_grid
 from .errors import ConfigError
 from .fluidpd import MemoryConfig
-from .kernels import KERNEL_FAMILIES, BondBreaker, MicroModulus
+from .kernels import KERNEL_FAMILIES, MicroModulus
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _preset_setup(preset: str, values: dict) -> SimSetup:
     for section, keys in values.items():
         for key, value in keys.items():
             cfg.set(section, key, value)
-    return materialize(validate_config(cfg))
+    return materialize(cfg)
 
 
 def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: float = 1.0,
@@ -205,40 +206,6 @@ def _fluid_shear(cfg: RunConfig, setup: SimSetup):
                            * np.sin(2.0 * math.pi * y / setup.cloud.box[1]))
 
 
-# Config-table form of the presets: what parse_config overlays when [scenario]
-# preset names one of these (keys written explicitly win), and what each
-# builder overlays its keywords on.
-PRESET_CONFIGS = {
-    "bar1d-wave": {
-        "domain": {"dim": 1, "box": (1.0,), "h": 0.025, "rho": 1.0,
-                   "periodic": (True,)},
-        "horizon": {"delta": 0.1},
-        "kernel": {"family": "pmb", "c0": 1.0, "micro": "cylindrical"},
-        "time": {"dt": "auto", "steps": 0, "record_every": 10, "safety": 0.5},
-        "scenario": {"preset": "bar1d-wave", "amplitude": 1e-3, "periods": 1.0},
-    },
-    "plate2d-precrack": {
-        "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 64.0, "rho": 1.0,
-                   "periodic": (False, False)},
-        "horizon": {"delta": 3.0 / 64.0},
-        "kernel": {"family": "pmb", "c0": 1.0, "micro": "cylindrical"},
-        "breaker": {"mode": "critical-stretch", "s0": 0.03},
-        "load": {"preset": "opposing-last-axis", "amplitude": (0.0, 0.05),
-                 "center": 0.5},
-        "time": {"dt": "auto", "steps": 800, "record_every": 100,
-                 "safety": 0.5},
-        "scenario": {"preset": "plate2d-precrack", "v0": 0.005},
-    },
-    "fluid-shear": {
-        "domain": {"dim": 2, "box": (1.0, 1.0), "h": 1.0 / 24.0, "rho": 1.0,
-                   "periodic": (True, True)},
-        "horizon": {"delta": 0.125},
-        "memory": {"mode": "zero", "coefficient": 50.0, "fluid_kernel": "linear"},
-        "time": {"dt": 0.02, "steps": 2000, "record_every": 10},
-        "scenario": {"preset": "fluid-shear", "v0": 1.0},
-    },
-}
-
 # What each preset adds to its table's setup, in materialize.
 PRESET_SETUPS = {
     "bar1d-wave": _bar_wave,
@@ -246,76 +213,34 @@ PRESET_SETUPS = {
     "fluid-shear": _fluid_shear,
 }
 
-# Key values each hook cannot honour, refused before anything is built:
-# (section, key, values the hook takes, why).
-PRESET_NEEDS = {
-    "bar1d-wave": [("memory", "mode", ("infinite", "finite"), "bar1d-wave takes its wave "
-                    "speed from the bond network, which zero memory does not build")],
-    "plate2d-precrack": [
-        ("domain", "dim", (2,), "plate2d-precrack is a 2D plate"),
-        ("kernel", "family", ("pmb",), "plate2d-precrack scales the pmb bond constant"),
-        ("memory", "mode", ("infinite",),
-         "plate2d-precrack seeds its crack in the reference bond network")],
-    "fluid-shear": [("domain", "dim", (2, 3),
-                     "fluid-shear shears along the second axis, so it needs dim >= 2")],
-}
-
-
-_FIELD_NAMES = {family: {f.name for f in fields(cls)}
-                for family, cls in KERNEL_FAMILIES.items()}
-
 
 def model_from_config(cfg: RunConfig, delta: float, dim: int):
     """Build the configured kernel family by one rule: its FAMILY_KEYS from
     [kernel] (micro and c0 as one MicroModulus) plus, where the class has the
-    field, the run's delta, dim and [breaker] section."""
-    k = cfg.sections["kernel"]
-    family = k["family"]
-    if family not in KERNEL_FAMILIES:  # a value set past the parser
-        raise ConfigError(f"[kernel] family: unhandled family {family!r}")
-    takes = _FIELD_NAMES[family]
-    breaker = BondBreaker(**cfg.sections["breaker"])
-    if breaker.mode != "none" and "breaker" not in takes:
-        supported = [name for name in KERNEL_FAMILIES if "breaker" in _FIELD_NAMES[name]]
-        raise ConfigError(
-            f"[breaker] mode: family {family!r} does not take a breaker "
-            f"(supported: {', '.join(supported)})"
-        )
-    if family == "quadratic" and not k["alpha"] > 0.0:
-        raise ConfigError(
-            f"[kernel] alpha: must be positive for the quadratic family, "
-            f"got {k['alpha']}"
-        )
-    values = {key: k[key] for key in FAMILY_KEYS[family]}
+    field, the run's delta, dim and [breaker] section. The refusals are
+    config.check_kernel's, which validate_config applies too."""
+    breaker = check_kernel(cfg)
+    family = cfg.get("kernel", "family")
+    values = {key: cfg.get("kernel", key) for key in FAMILY_KEYS[family]}
     if "micro" in values:
         values["micro"] = MicroModulus(values["micro"], values.pop("c0"), delta)
+    takes = {f.name for f in fields(KERNEL_FAMILIES[family])}
     injected = {"delta": delta, "dim": dim, "breaker": breaker}
     values.update((name, value) for name, value in injected.items() if name in takes)
     return KERNEL_FAMILIES[family](**values)
 
 
-def load_from_config(cfg: RunConfig):
-    if cfg.get("load", "preset") == "none":
-        return None
-    return dynamics.ExternalLoad(**cfg.sections["load"])
-
-
 def materialize(cfg: RunConfig) -> SimSetup:
-    """Turn a validated config into runnable objects.
+    """Turn a config into runnable objects.
 
-    Refuses first what the preset or zero memory cannot honour; then every
-    section builds its object, the preset's hook adds what the config format
-    cannot say, and an auto dt the hook leaves unset comes from stable_dt.
+    validate_config refuses first whatever no run can honour, before
+    anything is built; then every section builds its object, the preset's
+    hook adds what the config format cannot say, and an auto dt the hook
+    leaves unset comes from stable_dt.
     """
-    preset = cfg.get("scenario", "preset")
-    for section, key, allowed, why in PRESET_NEEDS.get(preset, ()):
-        if cfg.get(section, key) not in allowed:
-            raise ConfigError(f"[{section}] {key}: {why}; got {cfg.get(section, key)!r}")
+    validate_config(cfg)
     memory = MemoryConfig(**cfg.sections["memory"])
     dt = cfg.get("time", "dt")
-    if dt == "auto" and memory.mode == "zero":
-        raise ConfigError("[time] dt: auto needs a bond network; zero-memory runs "
-                          "must set dt explicitly")
     cloud = build_grid(
         cfg.get("domain", "box"), cfg.get("domain", "h"),
         cfg.get("domain", "rho"), periodic=cfg.get("domain", "periodic"),
@@ -328,11 +253,13 @@ def materialize(cfg: RunConfig) -> SimSetup:
         model=model, state=dynamics.zero_state(cloud),
         dt=None if dt == "auto" else float(dt),
         n_steps=cfg.get("time", "steps"), horizon=horizon,
-        load=load_from_config(cfg), memory=memory,
+        load=(None if cfg.get("load", "preset") == "none"
+              else dynamics.ExternalLoad(**cfg.sections["load"])),
+        memory=memory,
         record_every=cfg.get("time", "record_every"),
         snapshot_every=cfg.get("output", "snapshot_every"),
     )
-    hook = PRESET_SETUPS.get(preset)
+    hook = PRESET_SETUPS.get(cfg.get("scenario", "preset"))
     if hook is not None:
         hook(cfg, setup)
     if setup.dt is None:

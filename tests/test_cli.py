@@ -118,6 +118,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "duplicate key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[scenario]\npreset = plate2d-precrack\n[domain]\ndim = 1\nbox = 1.0\nperiodic = false\n"
+    "[load]\npreset = none\n",
+    "[scenario]\npreset = plate2d-precrack\n[kernel]\nfamily = rod\n[breaker]\nmode = none\n",
+    "[scenario]\npreset = bar1d-wave\n[memory]\nmode = zero\n[time]\ndt = 0.01\n",
+    "[scenario]\npreset = fluid-shear\n[domain]\ndim = 1\nbox = 1.0\nperiodic = true\n",
+    "[scenario]\npreset = fluid-shear\n[time]\ndt = auto\n",
+    "[memory]\nmode = zero\n",
+    "[kernel]\nfamily = quadratic\n[breaker]\nmode = critical-stretch\ns0 = 0.1\n",
+    "[kernel]\nfamily = quadratic\nalpha = 0\n",
+])
+def test_print_config_refuses_what_run_refuses(tmp_path, capsys, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert cli(["print-config", "-c", cfg]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("config error: [")
+    assert cli(["run", "-c", cfg]) == 2
+    assert capsys.readouterr().err == printed.err
+
+
 def test_zero_memory_needs_fluid_run(tmp_path, capsys):
     assert cli(["run", "--preset", "fluid-shear"]) == 2
     assert "needs fluid-run" in capsys.readouterr().err

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from peribond.config import (
+    BREAKER_FAMILIES,
     FAMILY_KEYS,
+    PRESET_NEEDS,
     RunConfig,
     SCHEMA,
     default_config,
@@ -216,10 +218,15 @@ def valid_configs(draw):
     explicit value for every key print_config writes."""
     preset = draw(st.sampled_from(SCHEMA["scenario"]["preset"].choices))
     cfg = parse_config(f"[scenario]\npreset = {preset}\n")
-    dim = draw(st.integers(1, 3))
-    family = draw(st.sampled_from(sorted(FAMILY_KEYS)))
-    memory = draw(st.sampled_from(SCHEMA["memory"]["mode"].choices))
-    breakers = SCHEMA["breaker"]["mode"].choices if memory == "infinite" else ("none",)
+    # the values the preset's hook honours (PRESET_NEEDS), else every choice
+    needs = {(section, key): allowed for section, key, allowed, _ in PRESET_NEEDS.get(preset, ())}
+    dim = draw(st.sampled_from(needs.get(("domain", "dim"), (1, 2, 3))))
+    family = draw(st.sampled_from(needs.get(("kernel", "family"), sorted(FAMILY_KEYS))))
+    memory = draw(st.sampled_from(needs.get(("memory", "mode"),
+                                            SCHEMA["memory"]["mode"].choices)))
+    # only infinite memory and the brittle families take a breaker
+    breakers = (SCHEMA["breaker"]["mode"].choices
+                if memory == "infinite" and family in BREAKER_FAMILIES else ("none",))
     breaker = draw(st.sampled_from(breakers))
     load = draw(st.sampled_from(SCHEMA["load"]["preset"].choices))
     fixed = {
@@ -238,6 +245,10 @@ def valid_configs(draw):
     if family == "nonlinear-p":
         fixed[("kernel", "alpha")] = draw(st.floats(0.0, 1.0, exclude_min=True,
                                                     exclude_max=True))
+    if family == "quadratic":
+        fixed[("kernel", "alpha")] = draw(POSITIVE)
+    if memory == "zero":  # no bond network to derive an auto dt from
+        fixed[("time", "dt")] = draw(FINITE_POSITIVE)
     if breaker == "theta-eps":
         fixed[("breaker", "eps")] = draw(POSITIVE)
     if memory == "finite":

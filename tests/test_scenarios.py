@@ -115,9 +115,8 @@ def test_materialize_generic_path():
 
 
 def test_materialize_zero_memory_requires_explicit_dt():
-    cfg = parse_config("[memory]\nmode = zero\n[time]\ndt = auto\n")
     with pytest.raises(ConfigError, match="dt explicitly"):
-        materialize(cfg)
+        materialize(parse_config("[memory]\nmode = zero\n[time]\ndt = auto\n"))
     cfg = parse_config("[memory]\nmode = zero\n[time]\ndt = 0.01\n")
     setup = materialize(cfg)
     assert setup.bonds is None
@@ -191,9 +190,8 @@ REFUSALS = [
 
 @pytest.mark.parametrize("preset, text, key", REFUSALS)
 def test_preset_hooks_refuse_keys_they_cannot_honour(recwarn, preset, text, key):
-    cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
     with pytest.raises(ConfigError, match=re.escape(key)):
-        materialize(cfg)
+        materialize(parse_config(f"[scenario]\npreset = {preset}\n{text}"))
     # a horizon that reaches no neighbor is refused after build_bonds warns
     heard = [(w.category, str(w.message)) for w in recwarn]
     expected = ["is below the grid spacing", "have empty horizons"]
@@ -211,6 +209,5 @@ def test_refusals_come_before_anything_is_built(monkeypatch, preset, text, key):
 
     monkeypatch.setattr(scenarios, "build_grid", unbuilt)
     monkeypatch.setattr(scenarios, "build_bonds", unbuilt)
-    cfg = parse_config(f"[scenario]\npreset = {preset}\n{text}")
     with pytest.raises(ConfigError, match=re.escape(key)):
-        materialize(cfg)
+        materialize(parse_config(f"[scenario]\npreset = {preset}\n{text}"))
