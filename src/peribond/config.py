@@ -272,7 +272,8 @@ def _refusal(section, key, reason, lineno=0):
 def check_value(section, key, value, lineno=0):
     """value if it has its field's kind and meets the choices and the
     constraint of [section] key, else a ConfigError naming the key (and the
-    config line, when given)."""
+    config line, when given). A list comes back as the tuple the parser
+    makes, so a config compares equal to its printed and parsed copy."""
     spec = SCHEMA[section][key]
     if not KINDS[spec.kind].test(value):
         reason = f"expected {KINDS[spec.kind].words}, got {value!r}"
@@ -281,7 +282,7 @@ def check_value(section, key, value, lineno=0):
     elif spec.check is not None and not spec.check(value):
         reason = f"{spec.constraint}, got {value}"
     else:
-        return value
+        return tuple(value) if isinstance(value, list) else value
     raise _refusal(section, key, reason, lineno)
 
 

@@ -272,21 +272,71 @@ def neighbor_pairs(positions, delta, box, periodic):
     return pairs[keep], diff[keep], dist[keep]
 
 
-def directed_pairs(positions, delta, box, periodic):
+class PairBuffers:
+    """Per-pair columns that one caller reuses from search to search.
+
+    Holds int_columns int64 and float_columns float columns of one capacity.
+    reserve(m) returns the first m entries of every column, as an
+    (int_columns, m) and a (float_columns, m) view with contiguous rows. It
+    reallocates only when m exceeds the capacity, and then to a quarter more
+    than m, so a steady pair count allocates nothing. Earlier views keep
+    their memory, but the next user of the buffers overwrites it.
+    """
+
+    def __init__(self, int_columns, float_columns):
+        self._ints = np.empty((int_columns, 0), dtype=np.int64)
+        self._floats = np.empty((float_columns, 0))
+
+    def reserve(self, m):
+        if m > self._floats.shape[1]:
+            capacity = m + m // 4
+            self._ints = np.empty((self._ints.shape[0], capacity), dtype=np.int64)
+            self._floats = np.empty((self._floats.shape[0], capacity))
+        return self._ints[:, :m], self._floats[:, :m]
+
+
+def directed_pairs(positions, delta, box, periodic, buffers=None):
     """Both directions of every in-horizon pair, sorted by (source, neighbor).
 
     Returns (source, neighbors, xi, dist) for bonds with 0 <= d <= delta,
     coincident pairs included — callers decide whether coincidence is an
     error. The zero-memory fluid force searches the current shape with it.
     Sorted by the unique key source*N + neighbor, so by any sort algorithm.
+    xi is (M, dim) with one contiguous column per axis.
+
+    Without buffers the arrays are fresh. With buffers, a PairBuffers of 3
+    int and at least dim + 2 float columns, they are views into it, valid
+    until its next reserve: source and neighbors are int columns 0 and 1, xi
+    float columns 0 to dim - 1 and dist float column dim. Int column 2 and
+    float column dim + 1 are scratch; later float columns are not touched.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
-    source = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    neighbors = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(source * len(positions) + neighbors)
-    return (np.take(source, order), np.take(neighbors, order),
-            np.take(np.concatenate([diff, -diff]), order, axis=0),
-            np.take(np.concatenate([dist, dist]), order))
+    p, dim = diff.shape
+    if buffers is None:
+        ints, floats = np.empty((3, 2 * p), dtype=np.int64), np.empty((dim + 2, 2 * p))
+    else:
+        ints, floats = buffers.reserve(2 * p)
+    source, neighbors, key = ints[:3]
+    spare = floats[dim + 1]
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    np.multiply(lo, len(positions), out=key[:p])
+    key[:p] += hi
+    np.multiply(hi, len(positions), out=key[p:])
+    key[p:] += lo
+    order = np.argsort(key)
+    # each column is gathered from both halves laid out in a scratch column;
+    # order is in range, so mode "clip" only spares numpy a copy of out
+    key[:p], key[p:] = lo, hi
+    np.take(key, order, out=source, mode="clip")
+    key[:p], key[p:] = hi, lo
+    np.take(key, order, out=neighbors, mode="clip")
+    for diff_k, xi_k in zip(diff.T, floats):
+        spare[:p] = diff_k
+        np.negative(diff_k, out=spare[p:])
+        np.take(spare, order, out=xi_k, mode="clip")
+    spare[:p], spare[p:] = dist, dist
+    np.take(spare, order, out=floats[dim], mode="clip")
+    return source, neighbors, floats[:dim].T, floats[dim]
 
 
 def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNetwork:

@@ -16,6 +16,7 @@ import numpy as np
 from . import dynamics
 from .discretization import (
     HorizonConfig,
+    PairBuffers,
     PointCloud,
     directed_pairs,
     pair_network,
@@ -127,45 +128,66 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
     return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
 
 
+def fluid_workspace(dim):
+    """Per-pair buffers for fluid_force in dim dimensions: directed_pairs'
+    columns (its float scratch included), then weights, dot, and the dv and
+    f columns of every axis."""
+    return PairBuffers(3, 3 * dim + 4)
+
+
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
-                model=None, velocities=None):
+                model=None, velocities=None, workspace=None):
     """Zero-memory force: kernel over current-configuration neighbors.
 
     The second kernel argument is the velocity difference scaled by the
     memory coefficient, so the force depends on velocity differences only
     (Galilean invariant by construction). velocities optionally overrides
-    state.velocities. Every call searches the current shape, also the second
-    call at one shape in a step: a call keeps no state that could reuse one.
-    Pair vectors are handled one contiguous column per axis; the dot product
-    is a running column sum, the same additions in the same order as
-    np.sum(dv * n, axis=1).
+    state.velocities. Every call searches the current shape
+    (directed_pairs), also a second call at one shape.
+
+    workspace, a fluid_workspace of the cloud's dimension, holds the
+    directed pairs and the per-pair columns; without one a fresh workspace
+    serves the call. The result is a fresh (N, dim) array either way, never
+    a view into the workspace, which the next call overwrites. Pair vectors
+    are handled one contiguous column per axis; the dot product is a running
+    column sum, the same additions in the same order as np.sum(dv * n, axis=1).
     """
     v = state.velocities if velocities is None else velocities
-    source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta,
-                                                 cloud.box, cloud.periodic)
+    dim = v.shape[1]
+    workspace = fluid_workspace(dim) if workspace is None else workspace
+    source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
+                                                 cloud.periodic, buffers=workspace)
     if not dist.all():
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
             f"particles {int(source[k])} and {int(neighbors[k])} coincide "
             "in the deformed configuration"
         )
-    weights = np.take(cloud.volumes, neighbors)
+    _, columns = workspace.reserve(dist.size)
+    scratch, weights, dot = columns[dim + 1:dim + 4]
+    dv, f = columns[dim + 4:2 * dim + 4], columns[2 * dim + 4:]
+    # indices come from the search, so mode "clip" only spares numpy a copy of out
+    np.take(cloud.volumes, neighbors, out=weights, mode="clip")
     if horizon.partial_volume == "linear" and dist.size:
         weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
-    dv = [np.take(v[:, k], neighbors) - np.take(v[:, k], source) for k in range(v.shape[1])]
+    for v_k, dv_k in zip(v.T, dv):
+        np.take(v_k, neighbors, out=dv_k, mode="clip")
+        np.take(v_k, source, out=scratch, mode="clip")
+        dv_k -= scratch
     if memory.fluid_kernel == "linear":
-        f = [xi[:, k] / dist for k in range(len(dv))]   # n_k, scaled into f_k below
-        dot = dv[0] * f[0]
+        for xi_k, n_k in zip(xi.T, f):
+            np.divide(xi_k, dist, out=n_k)   # n_k, scaled into f_k below
+        np.multiply(dv[0], f[0], out=dot)
         for dv_k, n_k in zip(dv[1:], f[1:]):
-            dot += dv_k * n_k
+            dot += np.multiply(dv_k, n_k, out=scratch)
         dot *= memory.coefficient
-        for n_k in f:
-            n_k *= dot
+        f *= dot
     else:
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
-        f = model.force(xi, memory.coefficient * np.column_stack(dv)).T
-    return np.column_stack([np.bincount(source, weights=f_k * weights, minlength=cloud.n_points)
+        f = model.force(xi, memory.coefficient * dv.T).T
+    f *= weights
+    return np.column_stack([np.bincount(source, weights=f_k, minlength=cloud.n_points)
                             for f_k in f])
 
 
@@ -177,7 +199,12 @@ class MemoryForce:
     every step's shape into its ring buffer and keeps the last remembered
     shape with its bonds, so the force and the energy of one step share one
     search. The zero-memory force depends on velocity, so the loop cannot
-    carry it over to the next step.
+    carry it over to the next step, and each shape is searched twice: at the
+    end of one step and at the start of the next. (A search reused within
+    the step waits on the benchmark's tracing, which counts both searches.)
+    Zero memory keeps one fluid_workspace for the operator's lifetime: its
+    force calls refill the directed pair arrays (source, neighbors, xi,
+    dist) and the force columns instead of allocating them per call.
     """
 
     def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
@@ -187,6 +214,7 @@ class MemoryForce:
         self.carry_force = memory.mode == "finite"
         self.fs = fluid_state(cloud, state, stride=stride)
         self._last = None
+        self._workspace = fluid_workspace(cloud.dim) if memory.mode == "zero" else None
 
     def _lift(self, state, v):
         fs = self.fs
@@ -202,7 +230,8 @@ class MemoryForce:
     def force(self, state, v):
         fs = self._lift(state, v)
         if self.memory.mode == "zero":
-            return fluid_force(self.cloud, fs, self.memory, self.horizon, model=self.model)
+            return fluid_force(self.cloud, fs, self.memory, self.horizon, model=self.model,
+                               workspace=self._workspace)
         ref, bonds = self._remembered(fs)
         return dynamics.internal_force(self.cloud, bonds, self.model, fs.positions - ref)
 

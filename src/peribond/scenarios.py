@@ -77,7 +77,7 @@ def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: flo
     domain traversal; dt divides it exactly. n_steps=None runs `periods`
     periods.
     """
-    setup = _preset_setup("bar1d-wave", {
+    return _preset_setup("bar1d-wave", {
         "domain": {"box": (length,), "h": delta / m, "rho": rho},
         "horizon": {"delta": delta},
         "kernel": {"c0": c0, "micro": micro},
@@ -85,8 +85,6 @@ def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: flo
                  "safety": safety},
         "scenario": {"amplitude": amplitude, "periods": periods},
     })
-    setup.record_every = max(1, setup.n_steps // 200)
-    return setup
 
 
 def build_plate_precrack(n: int = 64, size: float = 1.0, m: int = 3, rho: float = 1.0,
@@ -100,21 +98,22 @@ def build_plate_precrack(n: int = 64, size: float = 1.0, m: int = 3, rho: float 
     body force of magnitude b0 plus an opening velocity v0, and a
     critical-stretch breaker at s0 lets the crack extend. The bond constant
     is normalized so the linearized modulus equals `modulus`, keeping wave
-    speed and time scale near unity at any resolution.
+    speed and time scale near unity at any resolution. record_every=None
+    records at the preset table's cadence.
     """
     h = size / n
-    setup = _preset_setup("plate2d-precrack", {
+    time_keys = {"dt": "auto" if dt is None else dt, "steps": n_steps, "safety": safety}
+    if record_every is not None:
+        time_keys["record_every"] = record_every
+    return _preset_setup("plate2d-precrack", {
         "domain": {"box": (size, size), "h": h, "rho": rho},
         "horizon": {"delta": m * h},
         "kernel": {"c0": modulus},
         "breaker": {"s0": s0},
         "load": {"amplitude": (0.0, b0), "center": 0.5 * size},
-        "time": {"dt": "auto" if dt is None else dt, "steps": n_steps,
-                 "safety": safety},
+        "time": time_keys,
         "scenario": {"v0": v0},
     })
-    setup.record_every = max(1, n_steps // 8) if record_every is None else record_every
-    return setup
 
 
 def build_fluid_shear(n: int = 24, size: float = 1.0, m: int = 3, rho: float = 1.0,
@@ -126,15 +125,13 @@ def build_fluid_shear(n: int = 24, size: float = 1.0, m: int = 3, rho: float = 1
     like a viscous fluid's; kinetic energy is monotone non-increasing.
     """
     h = size / n
-    setup = _preset_setup("fluid-shear", {
+    return _preset_setup("fluid-shear", {
         "domain": {"box": (size, size), "h": h, "rho": rho},
         "horizon": {"delta": m * h},
         "memory": {"coefficient": coefficient},
         "time": {"dt": dt, "steps": n_steps},
         "scenario": {"v0": v0},
     })
-    setup.record_every = max(1, n_steps // 200)
-    return setup
 
 
 def _seed_crack(cloud, bonds, y_c, x0, x1):

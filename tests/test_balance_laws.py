@@ -7,6 +7,10 @@ axes where no bond wraps around a periodic boundary (angular momentum).
 Both sums are checked against the scale sum_i |V_i f_i|, over every
 default_models family, intact, broken and partially damaged bonds, and the
 model evaluated call by call and bound to the network.
+
+The zero-memory fluid force depends on velocity differences only, so a
+constant velocity boost leaves it bitwise unchanged wherever the boost is
+exact: dyadic velocities and boosts, every sum and difference exact.
 """
 
 import dataclasses
@@ -17,8 +21,10 @@ import numpy as np
 
 from peribond import build_bonds
 from peribond.dynamics import NetworkForce, internal_force, zero_state
+from peribond.fluidpd import FluidState, MemoryForce, fluid_force
 from peribond.kernels import default_models
 
+from test_column_arithmetic import fluid_cases
 from test_pair_network import lattices
 
 TOL = 1e-14
@@ -63,3 +69,26 @@ def test_internal_forces_conserve_linear_and_angular_momentum(lattice, family, s
     for a, b in combinations(free, 2):
         moment = float(np.sum(y[:, a] * vf[:, b] - y[:, b] * vf[:, a]))
         assert abs(moment) <= TOL * scale, (a, b)
+
+
+@settings(max_examples=60)
+@given(case=fluid_cases(), seed=st.integers(0, 2**32 - 1))
+def test_a_velocity_boost_leaves_the_zero_memory_force_unchanged(case, seed):
+    cloud, fluid, memory, horizon, model = case
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-2**20, 2**20 + 1, fluid.velocities.shape) * 2.0**-20
+    boost = rng.integers(-8, 9, (1, cloud.dim)) * 0.25
+    state = zero_state(cloud)
+    state.u[:] = fluid.positions - cloud.positions
+    shape = FluidState(positions=cloud.positions + state.u, velocities=v,
+                       reference=cloud.positions)
+    want = fluid_force(cloud, shape, memory, horizon, model=model)
+    assert np.array_equal(fluid_force(cloud, shape, memory, horizon, model=model,
+                                      velocities=v + boost), want)
+    # one operator, its buffers resized and refilled by a denser shape in between
+    op = MemoryForce(cloud, horizon, model, memory, state, 1.0)
+    assert np.array_equal(op.force(state, v), want)
+    denser = zero_state(cloud)
+    denser.u[:] = 0.5 * (fluid.positions + cloud.positions.mean(axis=0)) - cloud.positions
+    op.force(denser, v)
+    assert np.array_equal(op.force(state, v + boost), want)

@@ -23,8 +23,9 @@ from peribond.discretization import (
     directed_pairs,
     partial_volume_factor,
 )
+from peribond.dynamics import zero_state
 from peribond.errors import SingularConfigurationError
-from peribond.fluidpd import FLUID_KERNELS, FluidState, MemoryConfig, fluid_force
+from peribond.fluidpd import FLUID_KERNELS, FluidState, MemoryConfig, MemoryForce, fluid_force
 from peribond.kernels import default_models, lengths
 
 
@@ -162,6 +163,42 @@ def test_a_coincident_pair_names_its_particles():
     with pytest.raises(SingularConfigurationError,
                        match=r"^particles 5 and 6 coincide in the deformed configuration$"):
         fluid_force(cloud, state, MemoryConfig(mode="zero"), HorizonConfig(0.3))
+
+
+@pytest.mark.parametrize("fluid_kernel", FLUID_KERNELS)
+def test_one_zero_memory_operator_matches_fresh_calls_as_the_pair_count_moves(fluid_kernel):
+    # the operator reuses one workspace: it grows, shrinks in use, empties and
+    # grows again; every force is a fresh array equal to a fresh call's
+    cloud = build_grid((0.8, 0.8), 0.1, 1.0, periodic=(False, False))
+    horizon = HorizonConfig(0.25)
+    memory = MemoryConfig(mode="zero", coefficient=3.0, fluid_kernel=fluid_kernel)
+    model = default_models(horizon.delta, 2)["pmb"]
+    rng = np.random.default_rng(3)
+    state = zero_state(cloud)
+    op = MemoryForce(cloud, horizon, model, memory, state, 0.01)
+    center = cloud.positions.mean(axis=0)
+    counts, earlier = [], []
+    for scale in (1.0, 0.6, 0.9, 1.3, 3.0, 0.5, 1.0):
+        jitter = 0.02 * rng.uniform(-1.0, 1.0, cloud.positions.shape)
+        state.u[:] = center + scale * (cloud.positions - center) + jitter - cloud.positions
+        v = rng.standard_normal(state.u.shape)
+        shape = FluidState(positions=cloud.positions + state.u, velocities=v,
+                           reference=cloud.positions)
+        got = op.force(state, v)
+        assert np.array_equal(got, fluid_force(cloud, shape, memory, horizon, model=model))
+        assert np.array_equal(got, broadcast_fluid_force(cloud, shape, memory, horizon, model))
+        earlier.append((got, got.copy()))
+        counts.append(directed_pairs(shape.positions, horizon.delta, cloud.box,
+                                     cloud.periodic)[0].size)
+    assert counts[1] > counts[0] and counts[3] < counts[2] and counts[4] == 0
+    assert counts[5] > max(counts[:5])
+    assert all(np.array_equal(f, kept) for f, kept in earlier)
+
+    state.u[:] = 0.0
+    state.u[5] = cloud.positions[6] - cloud.positions[5]
+    with pytest.raises(SingularConfigurationError,
+                       match=r"^particles 5 and 6 coincide in the deformed configuration$"):
+        op.force(state, np.zeros_like(state.u))
 
 
 def row_by_row(path, header, table):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from peribond import scenarios
-from peribond.config import SCHEMA, _format_value, default_config, parse_config
+from peribond.config import (SCHEMA, _format_value, default_config, parse_config,
+                             print_config)
 from peribond.errors import ConfigError
 
 # out-of-range values by constraint (and by kind where the constraint is
@@ -119,6 +120,7 @@ BUILDER_KEYWORDS = [
     (scenarios.build_plate_precrack, "dt", "time", "dt"),
     (scenarios.build_plate_precrack, "rho", "domain", "rho"),
     (scenarios.build_fluid_shear, "n_steps", "time", "steps"),
+    (scenarios.build_plate_precrack, "record_every", "time", "record_every"),
 ]
 
 
@@ -233,3 +235,16 @@ def test_numpy_scalars_pass_as_their_kind():
     cfg.set("domain", "box", [1, np.int64(2), np.float32(0.5)])
     cfg.set("domain", "periodic", (True, False))
     assert cfg.get("time", "steps") == 5 and cfg.get("time", "dt") == 0.25
+
+
+LIST_KEYS = [(section, key) for section, keys in SCHEMA.items()
+             for key, spec in keys.items() if spec.kind.endswith("_list")]
+
+
+@pytest.mark.parametrize("section, key", LIST_KEYS)
+def test_a_list_is_kept_as_the_tuple_the_parser_makes(section, key):
+    cfg = default_config()
+    cfg.set(section, key, list(cfg.get(section, key)))
+    assert type(cfg.get(section, key)) is tuple
+    assert parse_config(print_config(cfg)) == cfg
+

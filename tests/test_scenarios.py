@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from peribond import scenarios
-from peribond.config import default_config, parse_config
+from peribond.config import PRESET_CONFIGS, default_config, parse_config
 from peribond.errors import ConfigError
 from peribond.kernels import KERNEL_FAMILIES, PMB, BondBreaker, MicroModulus
 from peribond.scenarios import (
@@ -77,6 +77,22 @@ def test_fluid_shear_setup():
     assert setup.cloud.periodic.all()
     ke = float(np.sum(setup.state.v ** 2))
     assert ke > 0.0
+
+
+@pytest.mark.parametrize("preset, builder", [
+    ("bar1d-wave", build_bar_wave),
+    ("plate2d-precrack", build_plate_precrack),
+    ("fluid-shear", build_fluid_shear),
+])
+def test_builders_record_at_their_preset_tables_cadence(preset, builder):
+    setup = builder()
+    assert setup.record_every == PRESET_CONFIGS[preset]["time"]["record_every"]
+    assert setup.record_every == materialize(
+        parse_config(f"[scenario]\npreset = {preset}\n")).record_every
+
+
+def test_the_plate_builder_keeps_its_record_every_keyword():
+    assert build_plate_precrack(n=16, n_steps=10, record_every=3).record_every == 3
 
 
 def test_model_from_config_all_families():
