@@ -86,26 +86,18 @@ def impenetrability_probe(cloud, bonds, model, state, threshold=0.1) -> ProbeRep
     dist = np.linalg.norm(bonds.xi + eta, axis=1)
     cut = threshold * cloud.spacing
 
-    pairs, dists, phis, phi0s, amps = [], [], [], [], []
-    for k in np.flatnonzero(dist < cut):
-        xi_k = bonds.xi[k]
-        phi = float(model.potential(xi_k, eta[k]))
-        phi0 = float(model.potential(xi_k, np.zeros_like(xi_k)))
-        if phi > 0.0:
-            amp = phi0 / phi
-        else:
-            amp = math.inf if phi0 > 0.0 else 1.0
-        pairs.append((int(bonds.source[k]), int(bonds.neighbors[k])))
-        dists.append(float(dist[k]))
-        phis.append(phi)
-        phi0s.append(phi0)
-        amps.append(amp)
+    rows = np.flatnonzero(dist < cut)
+    xi = bonds.xi[rows]
+    phis = model.potential(xi, eta[rows]).tolist()
+    phi0s = model.potential(xi, np.zeros_like(xi)).tolist()
+    amps = [phi0 / phi if phi > 0.0 else math.inf if phi0 > 0.0 else 1.0
+            for phi, phi0 in zip(phis, phi0s)]
 
     return ProbeReport(
         min_distance=float(np.min(dist)) if dist.size else math.inf,
         threshold=cut,
-        flagged_pairs=tuple(pairs),
-        flagged_distances=tuple(dists),
+        flagged_pairs=tuple(zip(bonds.source[rows].tolist(), bonds.neighbors[rows].tolist())),
+        flagged_distances=tuple(dist[rows].tolist()),
         potentials=tuple(phis),
         baselines=tuple(phi0s),
         amplifications=tuple(amps),

@@ -215,16 +215,13 @@ def partial_volume_factor(r, spacing, delta):
 
 
 def minimum_image(diff, box, periodic):
-    """Wrap separation vectors into the closest periodic image, in place-safe."""
-    diff = np.array(diff, dtype=float, copy=True)
-    flat = diff.ndim == 1
-    if flat:
-        diff = diff[None, :]
-    for axis in range(diff.shape[1]):
+    """Wrap separation vectors, a float array of shape (..., dim), into the
+    closest periodic image in place, and return that same array."""
+    for axis in range(diff.shape[-1]):
         if periodic[axis]:
             length = box[axis]
-            diff[:, axis] -= length * np.round(diff[:, axis] / length)
-    return diff[0] if flat else diff
+            diff[..., axis] -= length * np.round(diff[..., axis] / length)
+    return diff
 
 
 def neighbor_pairs(positions, delta, box, periodic):

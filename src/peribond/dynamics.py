@@ -7,10 +7,11 @@ its force scattered onto both ends; each point sums its terms in pair order
 configuration are bitwise reproducible. One loop (integrate) serves every
 run: solids hand it a NetworkForce, and the memory modes of fluidpd their
 own force operator. The operator's settle(state, dt, force) returns the
-next step's incoming force; on a network whose bonds break, the breaker
-reads the stretch off that step's kernel call and the force is refreshed
-only on the rows the changed pairs touch. Preset body forces do not depend
-on t and are evaluated once per run.
+next step's incoming force, or None when that force depends on velocity;
+on a network whose bonds break, the breaker reads the stretch off that
+step's kernel call and the force is refreshed only on the rows the changed
+pairs touch. Preset body forces do not depend on t and are evaluated once
+per run.
 """
 
 from dataclasses import dataclass
@@ -143,9 +144,9 @@ class NetworkForce:
     v) is the internal force density, potential(state) the stored energy,
     damage() the per-point broken fraction, and settle(state, dt, force) runs
     once after each step, right after force at the same state, and returns
-    the next step's incoming force (here: updates the breaker and, when
-    bonds changed, refreshes force in place). carry_force says whether that
-    force may be carried; it cannot when the force depends on velocity.
+    the next step's incoming force, or None when that force depends on
+    velocity and cannot be carried (here: updates the breaker and, when
+    bonds changed, refreshes force in place).
 
     The model is bound to the network once, here, and the network's
     operator turned into CSR for the refresh's row slices. settle takes the
@@ -155,8 +156,6 @@ class NetworkForce:
     the rows of their end points. Both are bitwise what a fresh evaluation
     gives. Neither array outlives settle.
     """
-
-    carry_force = True
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
@@ -223,8 +222,8 @@ def step_verlet(cloud, op, state: SimState, dt: float, load=None, force=None):
     """Advance one velocity-Verlet step in place under force operator op.
 
     force is the internal force at the incoming state (recomputed when None).
-    Returns op.settle's force for the outgoing state, for reuse as the next
-    step's incoming force, or None when op cannot carry it.
+    Returns what op.settle returns: the force at the outgoing state, for
+    reuse as the next step's incoming force, or None when op cannot carry it.
     """
     if force is None:
         force = op.force(state, state.v)
@@ -240,8 +239,7 @@ def step_verlet(cloud, op, state: SimState, dt: float, load=None, force=None):
 
     if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
         raise SimulationError(f"non-finite state detected at step {state.step}")
-    force_new = op.settle(state, dt, force_new)
-    return force_new if op.carry_force else None
+    return op.settle(state, dt, force_new)
 
 
 def kinetic_energy(cloud: PointCloud, v: np.ndarray) -> float:
@@ -274,13 +272,13 @@ class RunResult:
     state: SimState
 
 
-def _series_row(cloud, op, state):
+def _series_row(cloud, op, state, damage):
     kin = kinetic_energy(cloud, state.v)
     pot = op.potential(state)
     p = momentum(cloud, state.v)
     row = [state.t, kin, pot, kin + pot]
     row.extend(p.tolist())
-    row.append(float(np.mean(op.damage())))
+    row.append(float(np.mean(damage)))
     return row
 
 
@@ -296,10 +294,13 @@ def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
     """Run n_steps of velocity Verlet under force operator op, recording
     diagnostics at a cadence.
 
-    The series always contains the initial and final instants. Snapshots are
-    emitted at step 0 and every snapshot_every steps when snapshot_every > 0,
-    through on_snapshot(step, state, damage). The state object is advanced
-    in place and also returned inside the result.
+    One pass walks the instants k = 0 ... n_steps, stepping first when k > 0.
+    Instant k records a series row when k % record_every == 0 or k == n_steps
+    (so always the first and the last), and a snapshot, through
+    on_snapshot(step, state, damage), when n_steps == 0 or when
+    snapshot_every > 0 and k % snapshot_every == 0 or k == n_steps. Both
+    share one op.damage() per instant. The state is advanced in place and
+    also returned inside the result.
     """
     if n_steps < 0:
         raise ConfigError(f"step count must be non-negative, got {n_steps}")
@@ -307,23 +308,20 @@ def integrate(cloud, op, state: SimState, dt: float, n_steps: int, load=None,
         raise ConfigError(f"record cadence must be >= 1, got {record_every}")
 
     cols = series_columns(cloud.dim)
-    rows = [_series_row(cloud, op, state)]
-
-    def emit_snapshot(step):
-        if on_snapshot is not None:
-            on_snapshot(step, state, op.damage())
-
-    if snapshot_every > 0 or n_steps == 0:
-        emit_snapshot(state.step)
-
+    rows = []
     force = None
     load = _CarriedLoad(load) if load is not None else None
-    for k in range(1, n_steps + 1):
-        force = step_verlet(cloud, op, state, dt, load=load, force=force)
-        if k % record_every == 0 or k == n_steps:
-            rows.append(_series_row(cloud, op, state))
-        if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            emit_snapshot(state.step)
+    for k in range(n_steps + 1):
+        if k:
+            force = step_verlet(cloud, op, state, dt, load=load, force=force)
+        row = k % record_every == 0 or k == n_steps
+        snap = on_snapshot is not None and (
+            n_steps == 0 or snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps))
+        damage = op.damage() if row or snap else None
+        if row:
+            rows.append(_series_row(cloud, op, state, damage))
+        if snap:
+            on_snapshot(state.step, state, damage)
 
     table = np.asarray(rows)
     return RunResult(columns=cols, series={name: table[:, j] for j, name in enumerate(cols)},

@@ -198,10 +198,11 @@ class MemoryForce:
     coordinates (cloud.positions + u) in one FluidState; finite memory pushes
     every step's shape into its ring buffer and keeps the last remembered
     shape with its bonds, so the force and the energy of one step share one
-    search. The zero-memory force depends on velocity, so the loop cannot
-    carry it over to the next step, and each shape is searched twice: at the
-    end of one step and at the start of the next. (A search reused within
-    the step waits on the benchmark's tracing, which counts both searches.)
+    search. Only finite memory's force is carried over to the next step:
+    settle returns None otherwise. The zero-memory force depends on
+    velocity, so each shape is searched twice: at the end of one step and
+    at the start of the next. (A search reused within the step waits on the
+    benchmark's tracing, which counts both searches.)
     Zero memory keeps one fluid_workspace for the operator's lifetime: its
     force calls refill the directed pair arrays (source, neighbors, xi,
     dist) and the force columns instead of allocating them per call.
@@ -211,7 +212,6 @@ class MemoryForce:
                  state: dynamics.SimState, dt: float):
         stride = max(1, int(round(memory.s / dt))) if memory.mode == "finite" else 0
         self.cloud, self.horizon, self.model, self.memory = cloud, horizon, model, memory
-        self.carry_force = memory.mode == "finite"
         self.fs = fluid_state(cloud, state, stride=stride)
         self._last = None
         self._workspace = fluid_workspace(cloud.dim) if memory.mode == "zero" else None
@@ -248,8 +248,9 @@ class MemoryForce:
         return np.zeros(self.cloud.n_points)
 
     def settle(self, state, dt, force):
-        if self.memory.mode == "finite":
-            self._lift(state, state.v).push_snapshot()
+        if self.memory.mode != "finite":
+            return None
+        self._lift(state, state.v).push_snapshot()
         return force
 
 

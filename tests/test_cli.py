@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: exit codes, files, reproducibility."""
 
+from dataclasses import dataclass
 import os
 
 import numpy as np
 import pytest
 
+from peribond import cli as cli_module
 from peribond.cli import cli
 from peribond.config import parse_config, print_config
+from peribond.kernels import QuadraticPotential
 
 TINY_RUN = """\
 [domain]
@@ -213,6 +216,23 @@ def test_kernel_check(capsys):
 
     assert cli(["kernel-check", "--family", "bogus"]) == 2
     assert "unknown kernel family" in capsys.readouterr().err
+
+
+def test_kernel_check_fails_a_broken_family(monkeypatch, capsys):
+    @dataclass(frozen=True)
+    class Mismatched(QuadraticPotential):
+        """A potential twice the force's antiderivative: its gradient check fails."""
+
+        family = "mismatched"
+
+        def _phi(self, q, r, k, mu):
+            return 2.0 * super()._phi(q, r, k, mu)
+
+    monkeypatch.setattr(cli_module, "default_models", lambda: {"mismatched": Mismatched()})
+    assert cli(["kernel-check", "--samples", "50"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "[FAIL]" in lines[0] and "mismatched" in lines[0]
+    assert lines[-1] == "1 family failed"
 
 
 def test_convergence_command(capsys):

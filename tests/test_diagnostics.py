@@ -18,7 +18,14 @@ from peribond.diagnostics import (
     stretch_compare,
 )
 from peribond.errors import ConfigError
-from peribond.kernels import MicroModulus, NanoMembrane, NonlinearP, PMB
+from peribond.kernels import (
+    Convolution,
+    MicroModulus,
+    NanoMembrane,
+    NonlinearP,
+    PMB,
+    default_models,
+)
 
 
 def small_bar():
@@ -119,6 +126,75 @@ def test_impenetrability_probe_contrast():
     assert rep.max_potential < 1.0
 
 
+def probe_loop(bonds, model, state, cut):
+    """The probe's flagged tuples, one bond and two single-bond potential
+    calls at a time: the per-bond loop the whole-array probe replaced."""
+    eta = state.u[bonds.neighbors] - state.u[bonds.source]
+    dist = np.linalg.norm(bonds.xi + eta, axis=1)
+    pairs, dists, phis, phi0s, amps = [], [], [], [], []
+    for k in np.flatnonzero(dist < cut):
+        xi_k = bonds.xi[k]
+        phi = float(model.potential(xi_k, eta[k]))
+        phi0 = float(model.potential(xi_k, np.zeros_like(xi_k)))
+        if phi > 0.0:
+            amp = phi0 / phi
+        else:
+            amp = math.inf if phi0 > 0.0 else 1.0
+        pairs.append((int(bonds.source[k]), int(bonds.neighbors[k])))
+        dists.append(float(dist[k]))
+        phis.append(phi)
+        phi0s.append(phi0)
+        amps.append(amp)
+    return tuple(pairs), tuple(dists), tuple(phis), tuple(phi0s), tuple(amps)
+
+
+def report_tuples(rep):
+    return (rep.flagged_pairs, rep.flagged_distances, rep.potentials, rep.baselines,
+            rep.amplifications)
+
+
+@pytest.mark.parametrize("family", sorted(default_models()))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_probe_matches_the_per_bond_loop(family, dim):
+    cloud = build_grid((1.0,) * dim, 0.25, 1.0, periodic=(False,) * dim)
+    bonds = build_bonds(cloud, HorizonConfig(0.5))
+    model = default_models(delta=0.5, dim=dim)[family]
+    rng = np.random.default_rng(dim)
+    state = zero_state(cloud)
+    # squeeze toward the center, unevenly, so some bonds fall below the cut
+    squeeze = rng.uniform(0.5, 0.97, (cloud.n_points, 1))
+    state.u[:] = -squeeze * (cloud.positions - 0.5)
+    rep = impenetrability_probe(cloud, bonds, model, state, threshold=0.4)
+    want = probe_loop(bonds, model, state, rep.threshold)
+    assert len(want[0]) > 0
+    assert report_tuples(rep) == want
+
+
+def test_probe_amplification_of_a_vanished_potential():
+    # every point pulled onto the origin: q = 0 on every bond, exactly
+    cloud = build_grid((1.0,), 0.125, 1.0, periodic=(False,))
+    bonds = build_bonds(cloud, HorizonConfig(0.375))
+    state = zero_state(cloud)
+    state.u[:] = -cloud.positions
+    # a convolution bond stores no energy at q = 0; inside its support the
+    # rest state does (amplification inf), beyond it neither does (1.0)
+    model = Convolution(c=1.0, exponent=3, delta=0.3)
+    rep = impenetrability_probe(cloud, bonds, model, state)
+    assert report_tuples(rep) == probe_loop(bonds, model, state, rep.threshold)
+    assert len(rep.flagged_pairs) == bonds.n_bonds
+    assert set(rep.potentials) == {0.0}
+    inside = bonds.xi_norm <= 0.3
+    assert inside.any() and not inside.all()
+    assert rep.amplifications == tuple(np.where(inside, math.inf, 1.0).tolist())
+    assert rep.max_amplification == math.inf
+
+
+def test_probe_refuses_a_non_positive_threshold():
+    cloud, bonds, model = small_bar()
+    with pytest.raises(ConfigError, match="probe threshold must be positive, got 0"):
+        impenetrability_probe(cloud, bonds, model, zero_state(cloud), threshold=0)
+
+
 def test_probe_clean_state_flags_nothing():
     cloud, bonds, model = small_bar()
     rep = impenetrability_probe(cloud, bonds, model, zero_state(cloud))
@@ -133,3 +209,8 @@ def test_delta_convergence_refines():
     assert result.errors[1] < result.errors[0]
     assert result.rate > 1.0
     assert "delta" in result.table()
+
+
+def test_delta_convergence_needs_two_horizons():
+    with pytest.raises(ConfigError, match="needs at least two horizons"):
+        delta_convergence(deltas=(0.2,))

@@ -36,6 +36,8 @@ def test_grid_rejects_bad_inputs():
         build_grid((1.0,), 0.3, 1.0)  # 1.0 / 0.3 is not an integer
     with pytest.raises(ConfigError, match="periodic"):
         build_grid((1.0, 1.0), 0.25, 1.0, periodic=(True,))
+    with pytest.raises(ConfigError, match=r"box edge lengths must be positive, got \[1.0, 0.0\]"):
+        build_grid((1.0, 0.0), 0.25, 1.0)
 
 
 def test_partial_volume_factor_taper():
@@ -46,8 +48,12 @@ def test_partial_volume_factor_taper():
     assert partial_volume_factor(2.5, 1.0, 2.0) == 0.0
     out = partial_volume_factor(np.array([1.0, 2.0, 3.0]), 1.0, 2.0)
     assert np.allclose(out, [1.0, 0.5, 0.0])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="requires positive distances"):
         partial_volume_factor(0.0, 1.0, 2.0)
+    with pytest.raises(ConfigError, match="spacing must be positive, got 0.0"):
+        partial_volume_factor(1.0, 0.0, 2.0)
+    with pytest.raises(ConfigError, match="delta must be positive, got -2.0"):
+        partial_volume_factor(1.0, 1.0, -2.0)
 
 
 def test_minimum_image_wraps_periodic_axes_only():
@@ -58,6 +64,23 @@ def test_minimum_image_wraps_periodic_axes_only():
     # 1D input stays 1D
     assert np.allclose(minimum_image(np.array([1.5, 1.5]), box,
                                      np.array([True, True])), [-0.5, -0.5])
+
+
+def test_minimum_image_wraps_in_place():
+    box = np.array([2.0, 2.0, 4.0])
+    diff = np.array([[1.5, 1.5, 3.0], [-1.25, 0.5, -2.5], [0.25, -1.75, 1.0]])
+    periodic = np.array([True, False, True])
+    want = diff.copy()
+    for axis in (0, 2):
+        want[:, axis] -= box[axis] * np.round(want[:, axis] / box[axis])
+    untouched = diff[:, 1].copy()
+    out = minimum_image(diff, box, periodic)
+    assert out is diff                       # no copy: the argument is the result
+    assert np.array_equal(diff, want)
+    assert np.array_equal(diff[:, 1], untouched)
+    one = np.array([1.5, -1.5, 3.0])
+    assert minimum_image(one, box, periodic) is one
+    assert np.array_equal(one, [-0.5, -1.5, -1.0])
 
 
 def test_neighbor_pairs_basic_counts():

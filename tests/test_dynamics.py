@@ -245,3 +245,35 @@ def test_breaker_inside_run_raises_damage():
     assert dmg[0] == 0.0 and dmg[-1] == 1.0
     # once broken, the bond transmits nothing: forces vanish
     assert np.allclose(internal_force(cloud, bonds, model, state.u), 0.0)
+
+
+@pytest.mark.parametrize("n_steps, record_every, snapshot_every, on_snapshot, calls", [
+    (100, 50, 100, True, 3),   # instants 0, 50, 100 (a row and a snapshot at 0 and 100)
+    (100, 50, 100, False, 3),
+    (5, 3, 2, True, 5),        # rows 0, 3, 5; snapshots 0, 2, 4, 5
+    (7, 10, 0, True, 2),       # rows 0, 7; no snapshot cadence
+    (0, 1, 0, True, 1),        # a zero-step run: one row and its one snapshot
+])
+def test_each_recorded_instant_evaluates_damage_once(monkeypatch, n_steps, record_every,
+                                                     snapshot_every, on_snapshot, calls):
+    cloud = build_grid((1.0,), 0.0625, 1.0, periodic=(True,))
+    bonds = build_bonds(cloud, HorizonConfig(0.25))
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.25))
+    state = zero_state(cloud)
+    state.u[:, 0] = 1e-3 * np.sin(2.0 * math.pi * cloud.positions[:, 0])
+    evaluated, seen = [], []
+    exact_damage = NetworkForce.damage
+
+    def counted_damage(self):
+        evaluated.append(exact_damage(self))
+        return evaluated[-1]
+
+    monkeypatch.setattr(NetworkForce, "damage", counted_damage)
+    result = run(cloud, bonds, model, state, 0.01, n_steps, record_every=record_every,
+                 snapshot_every=snapshot_every,
+                 on_snapshot=(lambda step, st, dmg: seen.append(dmg)) if on_snapshot else None)
+    assert len(evaluated) == calls
+    rows = len([k for k in range(n_steps + 1) if k % record_every == 0 or k == n_steps])
+    assert len(result.series["t"]) == rows
+    # a snapshot receives the very array that its instant evaluated
+    assert all(any(dmg is e for e in evaluated) for dmg in seen)

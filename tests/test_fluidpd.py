@@ -14,10 +14,11 @@ from peribond import (
     internal_force,
     memory_force,
     run_fluid,
+    step_verlet,
     zero_state,
 )
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
-from peribond.fluidpd import FluidState, fluid_state
+from peribond.fluidpd import FluidState, MemoryForce, fluid_state
 from peribond.kernels import Convolution, MicroModulus, PMB
 
 
@@ -207,3 +208,27 @@ def test_run_fluid_validation():
     with pytest.raises(ConfigError):
         run_fluid(cloud, HorizonConfig(0.3), None, memory, zero_state(cloud),
                   0.01, 2, record_every=0)
+
+
+def test_only_finite_memory_settles_a_carried_force():
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, True))
+    horizon = HorizonConfig(0.375)
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.375))
+    state = zero_state(cloud)
+    state.v[:, 0] = np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    zero = MemoryForce(cloud, horizon, None, MemoryConfig(mode="zero", coefficient=20.0),
+                       state, 0.02)
+    # the viscous force depends on velocity: settle returns None ...
+    assert zero.settle(state, 0.02, zero.force(state, state.v)) is None
+    # ... and step_verlet passes that None on, so the next step recomputes it
+    assert step_verlet(cloud, zero, state, 0.02) is None
+    assert state.step == 1
+
+    state = zero_state(cloud)
+    state.v[:, 0] = 0.01 * np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    finite = MemoryForce(cloud, horizon, model, MemoryConfig(mode="finite", s=0.04),
+                         state, 0.02)
+    force = finite.force(state, state.v)
+    assert finite.settle(state, 0.02, force) is force
+    carried = step_verlet(cloud, finite, state, 0.02, force=force)
+    assert np.array_equal(carried, finite.force(state, state.v))

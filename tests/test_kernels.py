@@ -6,6 +6,7 @@ number and not just a property violation.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,8 @@ def test_quadratic_potential_values():
     assert np.allclose(model.force(XI, ETA), [3.75, 0.0])
     assert model.potential(XI, ETA) == 0.78125
     assert np.allclose(model.stiffness0(np.array([2.0])), 16.0)  # 8 alpha r^2
+    with pytest.raises(ConfigError, match="quadratic alpha must be positive, got 0"):
+        QuadraticPotential(alpha=0)
 
 
 def test_pmb_values():
@@ -112,6 +115,10 @@ def test_nonlinear_p_values():
         NonlinearP(p=1.5)
     with pytest.raises(ConfigError):
         model.validate_dim(2)   # built for dim 1
+    with pytest.raises(ConfigError, match="kappa must be positive, got 0"):
+        NonlinearP(kappa=0)
+    with pytest.raises(ConfigError, match="dim must be 1, 2, or 3, got 4"):
+        NonlinearP(dim=4)
 
 
 def test_nano_membrane_values():
@@ -125,6 +132,8 @@ def test_nano_membrane_values():
     # the inverse-cube core diverges as the pair collapses
     crush = model.potential(np.array([1.0, 0.0]), np.array([-0.999, 0.0]))
     assert crush > 1e5
+    with pytest.raises(ConfigError, match="nano-membrane c must be positive, got 0"):
+        NanoMembrane(c=0)
 
 
 def test_nano_fiber_values():
@@ -163,6 +172,25 @@ def test_calibrate_pmb_c():
     assert calibrate_pmb_c(1.0, 0.5) == pytest.approx(16.0 * 18.0 / math.pi)
     with pytest.raises(ConfigError):
         calibrate_pmb_c(-1.0, 1.0)
+    with pytest.raises(ConfigError, match="horizon delta must be positive, got 0"):
+        calibrate_pmb_c(1.0, 0.0)
+
+
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_a_zero_reference_separation_is_refused(family):
+    model = default_models(delta=2.0, dim=2)[family]
+    xi = np.array([[1.0, 0.0], [0.0, 0.0]])
+    message = f"{family}: zero reference separation in bond array"
+    with pytest.raises(ValueError, match=message):   # unbound: checked per call
+        model.force(xi, np.zeros_like(xi))
+    with pytest.raises(ValueError, match=message):   # bound: checked once, by bind
+        model.bind(SimpleNamespace(xi=xi, xi_norm=np.linalg.norm(xi, axis=1)))
+
+
+def test_an_unbound_model_holds_no_pair_state():
+    model = QuadraticPotential()
+    model.force(XI, ETA)
+    assert model.take_pair_state() == (None, None)
 
 
 def test_support_gating_zeroes_force_outside_delta():

@@ -91,6 +91,29 @@ def test_builders_record_at_their_preset_tables_cadence(preset, builder):
         parse_config(f"[scenario]\npreset = {preset}\n")).record_every
 
 
+@pytest.mark.parametrize("preset, builder", [
+    ("bar1d-wave", build_bar_wave),
+    ("plate2d-precrack", build_plate_precrack),
+    ("fluid-shear", build_fluid_shear),
+])
+def test_builder_defaults_are_their_preset_table(preset, builder):
+    """A builder's keyword defaults declare its preset a second time; the two
+    copies must build the same setup."""
+    built = builder()
+    table = materialize(parse_config(f"[scenario]\npreset = {preset}\n"))
+    for name in ("positions", "volumes", "box", "periodic"):
+        assert np.array_equal(getattr(built.cloud, name), getattr(table.cloud, name)), name
+    for name in ("horizon", "model", "memory", "load", "dt", "n_steps", "record_every",
+                 "snapshot_every"):
+        assert getattr(built, name) == getattr(table, name), name
+    assert np.array_equal(built.state.u, table.state.u)
+    assert np.array_equal(built.state.v, table.state.v)
+    if table.bonds is None:   # zero memory holds no reference network
+        assert built.bonds is None
+    else:
+        assert np.array_equal(built.bonds.mu, table.bonds.mu)
+
+
 def test_the_plate_builder_keeps_its_record_every_keyword():
     assert build_plate_precrack(n=16, n_steps=10, record_every=3).record_every == 3
 
