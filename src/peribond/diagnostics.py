@@ -78,7 +78,9 @@ def impenetrability_probe(cloud, bonds, model, state, threshold=0.1) -> ProbeRep
     pair the report carries the current bond potential, the undeformed
     baseline, and the baseline-to-current amplification factor — large for
     kernels whose potential resolves contact sharply, modest for kernels
-    that stay bounded. The probe only reports; it enforces nothing.
+    that stay bounded. Both potentials carry the bond's intactness mu, as
+    potential_energy counts them. The probe only reports; it enforces
+    nothing.
     """
     if not threshold > 0.0:
         raise ConfigError(f"probe threshold must be positive, got {threshold}")
@@ -87,9 +89,9 @@ def impenetrability_probe(cloud, bonds, model, state, threshold=0.1) -> ProbeRep
     cut = threshold * cloud.spacing
 
     rows = np.flatnonzero(dist < cut)
-    xi = bonds.xi[rows]
-    phis = model.potential(xi, eta[rows]).tolist()
-    phi0s = model.potential(xi, np.zeros_like(xi)).tolist()
+    xi, mu = bonds.xi[rows], bonds.mu[rows]
+    phis = model.potential(xi, eta[rows], mu).tolist()
+    phi0s = model.potential(xi, np.zeros_like(xi), mu).tolist()
     amps = [phi0 / phi if phi > 0.0 else math.inf if phi0 > 0.0 else 1.0
             for phi, phi0 in zip(phis, phi0s)]
 

@@ -9,11 +9,10 @@ separations.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 import warnings
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, SingularConfigurationError
@@ -59,16 +58,20 @@ class HorizonConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BondNetwork:
     """Bond pairs sorted by (source, neighbor), each unordered pair stored once.
 
     Every pair has source < neighbors and xi = x_neighbor - x_source. A
     central bond force is antisymmetric, so one evaluation per pair acts
     with weight w_ij = V_j taper on the source and, negated, with
-    w_ji = V_i taper on the neighbor (Newton's third law). The mu and accum
-    arrays hold mutable per-pair damage state (intactness factor in [0, 1]
-    and the graded-breakage accumulator).
+    w_ji = V_i taper on the neighbor (Newton's third law). scatter is the
+    sparse CSR operator that does both; its rows list their entries in pair
+    order, so scatter @ f sums each point's terms in pair order and
+    scatter[points] @ f re-sums those rows bitwise as the full product does.
+    The fields are fixed; the mu and accum arrays hold the mutable per-pair
+    damage state (intactness factor in [0, 1] and the graded-breakage
+    accumulator).
     """
 
     source: np.ndarray           # (M,) lower point index per pair
@@ -80,6 +83,7 @@ class BondNetwork:
     mu: np.ndarray               # (M,) bond intactness, starts at 1
     accum: np.ndarray            # (M,) graded-breakage accumulator, starts at 0
     n_points: int
+    scatter: csr_matrix          # (n_points, M): w_ij at source, -w_ji at neighbor
 
     @property
     def n_bonds(self) -> int:
@@ -92,29 +96,6 @@ class BondNetwork:
         n = self.n_points
         return (np.bincount(self.source, weights=at_source, minlength=n)
                 + np.bincount(self.neighbors, weights=at_neighbor, minlength=n))
-
-    @cached_property
-    def scatter(self):
-        """Sparse (n_points, n_bonds) operator spreading per-pair values onto
-        both ends: column k holds w_ij at row source[k] and -w_ji at row
-        neighbors[k], so scatter @ f sums each point's terms in pair order.
-        Built on first use from the pair order, with no sort, as a CSC
-        matrix; prepare_rows turns it into CSR."""
-        m = self.n_bonds
-        rows = np.empty(2 * m, dtype=np.int32)
-        rows[0::2], rows[1::2] = self.source, self.neighbors
-        data = np.empty(2 * m)
-        data[0::2], data[1::2] = self.weights, -self.reverse_weights
-        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
-        return csc_matrix((data, rows, indptr), shape=(self.n_points, m))
-
-    def prepare_rows(self):
-        """Replace scatter by its CSR form, for networks that re-sum a few
-        rows: its rows list their entries in pair order, so scatter[points]
-        @ f re-sums those rows bitwise as the full product does, and slicing
-        them is cheap. A network used for one product (a remembered shape)
-        keeps the CSC form and never pays for the conversion."""
-        self.scatter = self.scatter.tocsr()
 
     def degrees(self) -> np.ndarray:
         return self.per_point(None, None)
@@ -301,18 +282,15 @@ def directed_pairs(positions, delta, box, periodic, buffers=None):
     Sorted by the unique key source*N + neighbor, so by any sort algorithm.
     xi is (M, dim) with one contiguous column per axis.
 
-    Without buffers the arrays are fresh. With buffers, a PairBuffers of 3
-    int and at least dim + 2 float columns, they are views into it, valid
-    until its next reserve: source and neighbors are int columns 0 and 1, xi
-    float columns 0 to dim - 1 and dist float column dim. Int column 2 and
-    float column dim + 1 are scratch; later float columns are not touched.
+    The arrays are views into buffers, a PairBuffers of 3 int and dim + 2
+    float columns (fresh ones when none are given), valid until its next
+    reserve: source and neighbors are int columns 0 and 1, xi float columns
+    0 to dim - 1 and dist float column dim. Int column 2 and float column
+    dim + 1 are scratch.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
     p, dim = diff.shape
-    if buffers is None:
-        ints, floats = np.empty((3, 2 * p), dtype=np.int64), np.empty((dim + 2, 2 * p))
-    else:
-        ints, floats = buffers.reserve(2 * p)
+    ints, floats = (PairBuffers(3, dim + 2) if buffers is None else buffers).reserve(2 * p)
     source, neighbors, key = ints[:3]
     spare = floats[dim + 1]
     lo, hi = pairs[:, 0], pairs[:, 1]
@@ -334,6 +312,18 @@ def directed_pairs(positions, delta, box, periodic, buffers=None):
     spare[:p], spare[p:] = dist, dist
     np.take(spare, order, out=floats[dim], mode="clip")
     return source, neighbors, floats[:dim].T, floats[dim]
+
+
+def _scatter_operator(source, neighbors, weights, reverse_weights, n_points):
+    """BondNetwork.scatter: formed with one column per pair, in pair order and
+    with no sort, then converted to CSR, whose rows keep that order."""
+    m = source.shape[0]
+    rows = np.empty(2 * m, dtype=np.int32)
+    rows[0::2], rows[1::2] = source, neighbors
+    data = np.empty(2 * m)
+    data[0::2], data[1::2] = weights, -reverse_weights
+    indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+    return csc_matrix((data, rows, indptr), shape=(n_points, m)).tocsr()
 
 
 def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNetwork:
@@ -370,6 +360,8 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
         mu=np.ones(source.shape[0]),
         accum=np.zeros(source.shape[0]),
         n_points=cloud.n_points,
+        scatter=_scatter_operator(source, neighbors, weights, reverse_weights,
+                                  cloud.n_points),
     )
 
 

@@ -106,7 +106,7 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
     """Internal force density (force per unit volume) at every point.
 
     Each pair's force f acts as +f w_ij on its source and -f w_ji on its
-    neighbor, summed through the network's cached scatter operator.
+    neighbor, summed through the network's scatter operator.
     """
     model.validate_dim(cloud.dim)
     eta = _relative(bonds, u)
@@ -119,7 +119,6 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
         raise SingularConfigurationError(
             f"{model.family}: coincident deformed points on bond(s) {pairs}"
         ) from None
-    del eta  # before the product, which builds the operator on first use
     return bonds.scatter @ f
 
 
@@ -148,21 +147,18 @@ class NetworkForce:
     velocity and cannot be carried (here: updates the breaker and, when
     bonds changed, refreshes force in place).
 
-    The model is bound to the network once, here, and the network's
-    operator turned into CSR for the refresh's row slices. settle takes the
+    The model is bound to the network once, here. settle takes the
     deformed lengths and pair forces of the step's own kernel call from the
     bound model: the stretch comes from those lengths, with no second
     gather, and a break re-evaluates only the changed pairs and re-sums only
-    the rows of their end points. Both are bitwise what a fresh evaluation
-    gives. Neither array outlives settle.
+    the rows of their end points, sliced from the network's CSR operator.
+    Both are bitwise what a fresh evaluation gives. Neither array outlives
+    settle.
     """
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
         self.cloud, self.bonds, self.model = cloud, bonds, model.bind(bonds)
-        # here, before the step's per-pair temporaries exist: converted amid
-        # them (at a break, or in the first product) it raised peak memory
-        bonds.prepare_rows()
 
     def force(self, state, v):
         self.model.take_pair_state()  # free the last call's pair arrays before the gathers

@@ -129,10 +129,10 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
 
 
 def fluid_workspace(dim):
-    """Per-pair buffers for fluid_force in dim dimensions: directed_pairs'
-    columns (its float scratch included), then weights, dot, and the dv and
-    f columns of every axis."""
-    return PairBuffers(3, 3 * dim + 4)
+    """The per-pair buffers of fluid_force in dim dimensions: its search's
+    (directed_pairs), and its own scratch, weights, dot and the dv and f
+    columns of every axis."""
+    return PairBuffers(3, dim + 2), PairBuffers(0, 2 * dim + 3)
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
@@ -154,18 +154,18 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     """
     v = state.velocities if velocities is None else velocities
     dim = v.shape[1]
-    workspace = fluid_workspace(dim) if workspace is None else workspace
+    search, own = fluid_workspace(dim) if workspace is None else workspace
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
-                                                 cloud.periodic, buffers=workspace)
+                                                 cloud.periodic, buffers=search)
     if not dist.all():
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
             f"particles {int(source[k])} and {int(neighbors[k])} coincide "
             "in the deformed configuration"
         )
-    _, columns = workspace.reserve(dist.size)
-    scratch, weights, dot = columns[dim + 1:dim + 4]
-    dv, f = columns[dim + 4:2 * dim + 4], columns[2 * dim + 4:]
+    _, columns = own.reserve(dist.size)
+    scratch, weights, dot = columns[:3]
+    dv, f = columns[3:dim + 3], columns[dim + 3:]
     # indices come from the search, so mode "clip" only spares numpy a copy of out
     np.take(cloud.volumes, neighbors, out=weights, mode="clip")
     if horizon.partial_volume == "linear" and dist.size:

@@ -17,6 +17,7 @@ from peribond.diagnostics import (
     impenetrability_probe,
     stretch_compare,
 )
+from peribond.dynamics import potential_energy
 from peribond.errors import ConfigError
 from peribond.kernels import (
     Convolution,
@@ -187,6 +188,46 @@ def test_probe_amplification_of_a_vanished_potential():
     assert inside.any() and not inside.all()
     assert rep.amplifications == tuple(np.where(inside, math.inf, 1.0).tolist())
     assert rep.max_amplification == math.inf
+
+
+def compressed_bar():
+    # every bond of an 8-point bar squeezed to 1% of its length: all flagged
+    cloud = build_grid((1.0,), 0.125, 1.0, periodic=(False,))
+    bonds = build_bonds(cloud, HorizonConfig(0.375))
+    state = zero_state(cloud)
+    state.u[:] = -0.99 * cloud.positions
+    return cloud, bonds, state
+
+
+def test_probe_counts_a_broken_bond_as_storing_nothing():
+    cloud, bonds, state = compressed_bar()
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.375))
+    assert impenetrability_probe(cloud, bonds, model, state).max_potential > 0.0
+    bonds.mu[:] = 0.0
+    rep = impenetrability_probe(cloud, bonds, model, state)
+    assert len(rep.flagged_pairs) == bonds.n_bonds == 18
+    assert potential_energy(cloud, bonds, model, state.u) == 0.0
+    assert set(rep.potentials) == set(rep.baselines) == {0.0}
+    assert rep.max_potential == 0.0
+    assert set(rep.amplifications) == {1.0}
+
+
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_probe_potentials_are_the_energy_terms(family):
+    # theta-eps leaves fractions of mu; each flagged potential is the term
+    # that potential_energy sums for its pair
+    cloud, bonds, state = compressed_bar()
+    model = default_models(delta=0.375, dim=1)[family]
+    bonds.mu[:] = np.random.default_rng(3).uniform(0.0, 1.0, bonds.n_bonds)
+    rep = impenetrability_probe(cloud, bonds, model, state)
+    assert len(rep.flagged_pairs) == bonds.n_bonds
+    eta = state.u[bonds.neighbors] - state.u[bonds.source]
+    terms = model.potential(bonds.xi, eta, bonds.mu)
+    assert rep.potentials == tuple(terms.tolist())
+    assert rep.baselines == tuple(
+        model.potential(bonds.xi, np.zeros_like(bonds.xi), bonds.mu).tolist())
+    weighted = np.array(rep.potentials) * bonds.weights * cloud.volumes[bonds.source]
+    assert float(np.sum(weighted)) == potential_energy(cloud, bonds, model, state.u)
 
 
 def test_probe_refuses_a_non_positive_threshold():

@@ -5,6 +5,7 @@ import pytest
 
 from peribond import HorizonConfig, PointCloud, build_bonds, build_grid
 from peribond.discretization import (
+    PairBuffers,
     directed_pairs,
     minimum_image,
     neighbor_pairs,
@@ -131,6 +132,24 @@ def test_directed_pairs_double_and_sort():
     fwd = {(int(s), int(n)): x for s, n, x in zip(source, neighbors, xi[:, 0])}
     for (s, n), x in fwd.items():
         assert fwd[(n, s)] == -x
+
+
+def test_directed_pairs_fill_the_buffers_they_are_given():
+    # the buffers hold exactly the search's columns; a smaller second search
+    # refills them and gives the same arrays as a search into fresh buffers
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, False))
+    buffers = PairBuffers(3, cloud.dim + 2)
+    first = directed_pairs(cloud.positions, 0.25, cloud.box, cloud.periodic,
+                           buffers=buffers)[0].size
+    got = directed_pairs(cloud.positions[:40], 0.25, cloud.box, cloud.periodic,
+                         buffers=buffers)
+    fresh = directed_pairs(cloud.positions[:40], 0.25, cloud.box, cloud.periodic)
+    assert 0 < got[0].size < first
+    ints, floats = buffers.reserve(got[0].size)
+    assert all(np.shares_memory(a, ints) for a in got[:2])
+    assert all(np.shares_memory(a, floats) for a in got[2:])
+    for a, b in zip(got, fresh):
+        assert np.array_equal(a, b)
 
 
 def test_build_bonds_layout_and_weights():

@@ -257,8 +257,8 @@ def test_finite_memory_carries_its_force(monkeypatch):
     # reference shape (before the memory span has elapsed), the step-0
     # snapshot, and the snapshots of steps 1 .. n_steps - stride. The
     # end-of-step force is reused by the next step and each recorded row's
-    # energy reuses that step's search. A remembered shape serves one
-    # product, so its operator never turns into the row-sliced CSR.
+    # energy reuses that step's search. A remembered shape's network holds
+    # the same CSR operator as the reference network.
     calls = []
 
     def counted(*args, **kwargs):
@@ -274,4 +274,4 @@ def test_finite_memory_carries_its_force(monkeypatch):
     stride = 5  # memory span 0.05 over dt 0.01
     assert records == 4
     assert len(calls) == 2 + n_steps - stride
-    assert {bonds.scatter.format for bonds in calls} == {"csc"}
+    assert {bonds.scatter.format for bonds in calls} == {"csr"}

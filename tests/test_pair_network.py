@@ -5,7 +5,7 @@ both ends. The oracle below uses directed bonds instead: every pair in both
 directions from discretization.directed_pairs, each bond weighted by its
 neighbor's volume, the kernel called on every directed bond and the results
 summed per source point. The network's sparse scatter operator is checked
-against the bincount scatter and, in its row-sliced CSR form, against an
+against the bincount scatter and, whole and row-sliced, against an
 independently built CSC operator; a model bound
 to the network against the same model evaluated call by call, and the
 breaker's row-local force refresh against a fresh force. The neighbor search itself is
@@ -17,6 +17,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
@@ -193,20 +194,28 @@ def csc_scatter(bonds):
 @settings(max_examples=60)
 @given(lattice=lattices(), seed=st.integers(0, 2**16))
 def test_csr_scatter_is_bitwise_the_csc_product(lattice, seed):
-    # prepare_rows turns the operator into CSR; its row slices and its full
-    # products stay bitwise the CSC products
+    # a fresh network's operator is already CSR; its row slices and its full
+    # products are bitwise the CSC products
     cloud, horizon = lattice
     bonds = build_bonds(cloud, horizon)
+    assert bonds.scatter.format == "csr"
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((bonds.n_bonds, cloud.dim))
     oracle = csc_scatter(bonds)
-    assert bonds.scatter.format == "csc"
     points = np.flatnonzero(rng.random(bonds.n_points) < 0.3)
-    bonds.prepare_rows()
-    assert bonds.scatter.format == "csr"
     assert np.array_equal(bonds.scatter[points] @ f, (oracle @ f)[points])
     assert np.array_equal(bonds.scatter @ f, oracle @ f)
     assert np.array_equal(bonds.scatter @ f[:, 0], oracle @ f[:, 0])
+
+
+def test_the_network_operator_cannot_be_replaced():
+    cloud = build_grid((1.0, 1.0), 0.25, 1.0, periodic=(False, False))
+    bonds = build_bonds(cloud, HorizonConfig(0.5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bonds.scatter = bonds.scatter.tocsc()
+    assert bonds.scatter.format == "csr"
+    bonds.mu[0] = 0.5  # the damage state stays writable
+    assert bonds.mu[0] == 0.5
 
 
 MU_CHANGES = ("none", "one", "random zeros", "theta-eps fractions", "all")
