@@ -24,6 +24,7 @@ from .dynamics import LOAD_PRESETS
 from .errors import ConfigError
 from .fluidpd import FLUID_KERNELS, MEMORY_MODES
 from .kernels import BREAKER_MODES, KERNEL_FAMILIES, MICRO_FAMILIES, BondBreaker
+from .outputs import fmt
 
 @dataclass(frozen=True)
 class Field:
@@ -54,10 +55,6 @@ def _items(raw):
     return [p.strip() for p in raw.split(",")] if raw else []
 
 
-def _number_text(v):
-    return "%.17g" % float(v)
-
-
 @dataclass(frozen=True)
 class Kind:
     words: str     # what a value must be, in a refusal's words
@@ -71,15 +68,15 @@ KINDS = {
     "int": Kind("an integer",
                 lambda v: isinstance(v, (int, numbers.Integral)) and not isinstance(v, bool),
                 int, lambda v: str(int(v))),
-    "float": Kind("a number", _number, float, _number_text),
+    "float": Kind("a number", _number, float, fmt),
     "dt": Kind("a number", lambda v: v == "auto" if isinstance(v, str) else _number(v),
                lambda raw: raw if raw == "auto" else float(raw),
-               lambda v: v if v == "auto" else _number_text(v)),
+               lambda v: v if v == "auto" else fmt(v)),
     "str": Kind("a string", lambda v: isinstance(v, str), str, str),
     "float_list": Kind("comma-separated numbers",
                        lambda v: isinstance(v, (tuple, list)) and all(map(_number, v)),
                        lambda raw: tuple(float(p) for p in _items(raw) if p != ""),
-                       lambda v: ", ".join(map(_number_text, v))),
+                       lambda v: ", ".join(map(fmt, v))),
     "bool_list": Kind("comma-separated true/false",
                       lambda v: isinstance(v, (tuple, list))
                       and all(isinstance(x, bool) for x in v),
@@ -363,9 +360,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def default_config() -> RunConfig:
-    return RunConfig({section: {key: spec.default for key, spec in keys.items()}
-                      for section, keys in SCHEMA.items()})
+def default_config(preset: str = None) -> RunConfig:
+    """The schema's defaults, overlaid with the table of a preset that has one."""
+    cfg = RunConfig({section: {key: spec.default for key, spec in keys.items()}
+                     for section, keys in SCHEMA.items()})
+    for section, keys in PRESET_CONFIGS.get(preset, {}).items():
+        cfg.sections[section].update(keys)
+    return cfg
 
 
 def parse_config(text: str, forced_preset: str = None) -> RunConfig:
@@ -420,10 +421,7 @@ def parse_config(text: str, forced_preset: str = None) -> RunConfig:
             )
         explicit[("scenario", "preset")] = (check_value("scenario", "preset", forced_preset), 0)
 
-    cfg = default_config()
-    preset_name = explicit.get(("scenario", "preset"), (None, 0))[0]
-    for psection, pkeys in PRESET_CONFIGS.get(preset_name, {}).items():
-        cfg.sections[psection].update(pkeys)
+    cfg = default_config(explicit.get(("scenario", "preset"), (None, 0))[0])
     for (esection, ekey), (value, _) in explicit.items():
         cfg.sections[esection][ekey] = value
 

@@ -1,6 +1,6 @@
 """Energy accounting, damage and contact probes, and convergence studies."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np

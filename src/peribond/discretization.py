@@ -115,13 +115,13 @@ class BondNetwork:
         of each, the separation from `point` to it (the stored xi, negated
         where `point` is the neighbors end) and the weight onto `point`.
         """
-        below = np.flatnonzero(self.neighbors == point)
-        above = np.flatnonzero(self.source == point)
+        rows = self.scatter[point].indices.astype(np.int64)
+        at_source = self.source[rows] == point
         return (
-            np.concatenate([below, above]),
-            np.concatenate([self.source[below], self.neighbors[above]]),
-            np.concatenate([-self.xi[below], self.xi[above]]),
-            np.concatenate([self.reverse_weights[below], self.weights[above]]),
+            rows,
+            np.where(at_source, self.neighbors[rows], self.source[rows]),
+            np.where(at_source[:, None], self.xi[rows], -self.xi[rows]),
+            np.where(at_source, self.weights[rows], self.reverse_weights[rows]),
         )
 
 
@@ -222,21 +222,18 @@ def neighbor_pairs(positions, delta, box, periodic):
     slack perturbs weights by O(1e-9) at most.
     """
     positions = np.asarray(positions, dtype=float)
-    n, dim = positions.shape
-    boxsize = np.zeros(dim)
-    wrapped = positions
-    for axis in range(dim):
-        if periodic[axis]:
-            length = box[axis]
-            if delta > 0.5 * length:
-                raise ConfigError(
-                    f"horizon delta {delta} exceeds half the periodic box "
-                    f"edge {length} on axis {axis} (minimum image invalid)"
-                )
-            boxsize[axis] = length
-            if np.any(wrapped[:, axis] < 0) or np.any(wrapped[:, axis] >= length):
-                wrapped = np.array(wrapped, copy=True)
-                wrapped[:, axis] = np.mod(wrapped[:, axis], length)
+    n = positions.shape[0]
+    periodic = np.asarray(periodic, dtype=bool)
+    for axis in np.flatnonzero(periodic):
+        if delta > 0.5 * box[axis]:
+            raise ConfigError(
+                f"horizon delta {delta} exceeds half the periodic box "
+                f"edge {box[axis]} on axis {axis} (minimum image invalid)"
+            )
+    boxsize = np.where(periodic, box, 0.0)
+    wrapped = np.mod(positions, boxsize, out=positions.copy(), where=periodic)
+    # a coordinate a hair below 0 wraps to L itself, which the tree refuses
+    wrapped[wrapped == boxsize] = 0.0
     tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None)
     raw = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
     raw = raw.astype(np.int64, copy=False)

@@ -52,26 +52,23 @@ class ExternalLoad:
     (amplitude vector modulated by sin(2 pi x_0 / wavelength)), and
     opposing-last-axis (amplitude vector signed by which side of `center`
     the last coordinate falls on; points exactly on the line get zero).
-    A callable fn(positions, t) -> (N, dim) overrides the preset entirely.
+    A load that depends on t is any object with body_force(positions, t).
     """
 
     preset: str = "none"
     amplitude: tuple = ()
     wavelength: float = 1.0
     center: float = 0.5
-    fn: object = None
 
     def __post_init__(self):
         if self.preset not in LOAD_PRESETS:
             raise ConfigError(f"load preset must be one of {LOAD_PRESETS}, got {self.preset!r}")
-        if self.preset != "none" and self.fn is None and len(self.amplitude) == 0:
+        if self.preset != "none" and len(self.amplitude) == 0:
             raise ConfigError(f"load preset {self.preset!r} requires an amplitude vector")
         if self.preset == "sinusoidal-in-x" and not self.wavelength > 0.0:
             raise ConfigError(f"load wavelength must be positive, got {self.wavelength}")
 
     def body_force(self, positions, t):
-        if self.fn is not None:
-            return np.asarray(self.fn(positions, t), dtype=float)
         n, dim = positions.shape
         if self.preset == "none":
             return np.zeros((n, dim))
@@ -201,15 +198,15 @@ class NetworkForce:
 
 
 class _CarriedLoad:
-    """A load as the loop reads it. Presets do not depend on t and are
-    evaluated once per run; a callable is evaluated once per instant, so
-    the end of one step hands its b to the start of the next."""
+    """A load as the loop reads it. An ExternalLoad does not depend on t and
+    is evaluated once per run; any other load is evaluated once per instant,
+    so the end of one step hands its b to the start of the next."""
 
     def __init__(self, load):
         self.load, self.t, self.b = load, None, None
 
     def body_force(self, positions, t):
-        if self.b is None or (self.load.fn is not None and t != self.t):
+        if self.b is None or (not isinstance(self.load, ExternalLoad) and t != self.t):
             self.t, self.b = t, self.load.body_force(positions, t)
         return self.b
 

@@ -36,6 +36,11 @@ class MemoryConfig:
     the vanishing time increment of the zero-memory limit). fluid_kernel
     'linear' applies f = coefficient (dv . n) n; 'kernel' evaluates the
     configured bond family at (xi_geo, coefficient * dv).
+
+    Finite memory is linearly stable when omega_bound s < pi/sqrt(2), a
+    sufficient bound. omega_bound^2 = 2 max_i sum_j w C / rho is the sum
+    stable_dt uses, so at safety 0.5 it reads s <= 2.22 stable_dt. Longer
+    spans may grow without bound; the config does not refuse them.
     """
 
     mode: str = "infinite"

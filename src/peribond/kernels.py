@@ -701,21 +701,20 @@ def _cross_residual(z, f):
     return num / denom
 
 
-def check_kernel_axioms(model, dim, n_samples=1000, seed=0, xi_scale=None):
+def check_kernel_axioms(model, dim, n_samples=1000, seed=0):
     """Randomized verification of the structural bond-force axioms.
 
     Samples reference separations with |xi| in (0.1 L, L) and displacements
-    with |eta| <= 0.5 |xi| (L = xi_scale, defaulting to the model's support
-    radius or 1). Checks antisymmetry f(-xi, -eta) = -f(xi, eta), collinearity
+    with |eta| <= 0.5 |xi| (L is the model's support radius, or 1 when that
+    is infinite). Checks antisymmetry f(-xi, -eta) = -f(xi, eta), collinearity
     of f with xi + eta, and the match between f and the central-difference
     eta-gradient of the potential (step 1e-6 max(1, |eta|)). Samples whose FD
     stencil straddles a force discontinuity are excluded from the gradient
     check and counted in the report.
     """
     rng = np.random.default_rng(seed)
-    if xi_scale is None:
-        xi_scale = model.support_radius if math.isfinite(model.support_radius) else 1.0
-    r = rng.uniform(0.1 * xi_scale, xi_scale, n_samples)
+    scale = model.support_radius if math.isfinite(model.support_radius) else 1.0
+    r = rng.uniform(0.1 * scale, scale, n_samples)
     xi = r[:, None] * _unit_vectors(rng, n_samples, dim)
     eta_mag = rng.uniform(0.0, 0.5, n_samples) * r
     eta = eta_mag[:, None] * _unit_vectors(rng, n_samples, dim)

@@ -56,9 +56,7 @@ def linearized_modulus(cloud, bonds, model, point=0, axis=0):
 
 def _preset_setup(preset: str, values: dict) -> SimSetup:
     """Materialize a preset's table overlaid with builder keywords checked by RunConfig.set."""
-    cfg = default_config()
-    for section, keys in PRESET_CONFIGS[preset].items():
-        cfg.sections[section].update(keys)
+    cfg = default_config(preset)
     for section, keys in values.items():
         for key, value in keys.items():
             cfg.set(section, key, value)

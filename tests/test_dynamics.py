@@ -52,10 +52,27 @@ def test_external_load_presets():
     assert np.allclose(ExternalLoad().body_force(pos, 0.0), 0.0)
 
 
-def test_external_load_callable_and_errors():
-    fn = ExternalLoad("constant", amplitude=(9.9,),
-                      fn=lambda pos, t: np.full_like(pos, t))
-    assert np.allclose(fn.body_force(np.zeros((3, 1)), 2.0), 2.0)
+class Ramp:
+    """A load that depends on t: b = scale t in every component. It notes
+    every instant it is evaluated at."""
+
+    def __init__(self, scale):
+        self.scale, self.times = scale, []
+
+    def body_force(self, positions, t):
+        self.times.append(t)
+        return np.full_like(positions, self.scale * t)
+
+
+def test_external_load_errors_and_a_time_dependent_load():
+    # any object with body_force(positions, t) is a load: one step from rest
+    # at zero internal force gives v = dt/(2 rho) (b(0) + b(dt))
+    cloud = two_point_cloud()
+    op = NetworkForce(cloud, build_bonds(cloud, HorizonConfig(0.6)),
+                      QuadraticPotential(alpha=2.0, delta=0.6))
+    state = zero_state(cloud)
+    step_verlet(cloud, op, state, 0.5, load=Ramp(1.0))
+    assert np.array_equal(state.v, np.full((2, 1), 0.0625))
     with pytest.raises(ConfigError):
         ExternalLoad("gravity")
     with pytest.raises(ConfigError):
@@ -69,20 +86,24 @@ def test_external_load_callable_and_errors():
 
 @pytest.mark.parametrize("preset", [True, False])
 def test_run_evaluates_the_body_force_once_per_instant(preset, monkeypatch):
-    # a preset does not depend on t and is evaluated once per run; a
-    # callable once per instant, the end of one step being the next's start
+    # an ExternalLoad does not depend on t and is evaluated once per run;
+    # any other load once per instant, the end of one step being the next's
+    # start
     cloud = build_grid((1.0,), 0.0625, 1.0, periodic=(True,))
     bonds = build_bonds(cloud, HorizonConfig(0.25))
     model = QuadraticPotential(alpha=2.0, delta=0.25)
-    times, exact = [], ExternalLoad.body_force
+    if preset:
+        load = ExternalLoad("constant", amplitude=(1e-3,))
+        times, exact = [], ExternalLoad.body_force
 
-    def counted(self, positions, t):
-        times.append(t)
-        return exact(self, positions, t)
+        def counted(self, positions, t):
+            times.append(t)
+            return exact(self, positions, t)
 
-    monkeypatch.setattr(ExternalLoad, "body_force", counted)
-    fn = None if preset else (lambda pos, t: np.full_like(pos, math.sin(t)))
-    load = ExternalLoad("constant", amplitude=(1e-3,), fn=fn)
+        monkeypatch.setattr(ExternalLoad, "body_force", counted)
+    else:
+        load = Ramp(1e-3)
+        times = load.times
     state = zero_state(cloud)
     run(cloud, bonds, model, state, 0.01, 20, load=load, record_every=5)
     instants = [0.0]

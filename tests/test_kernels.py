@@ -187,6 +187,21 @@ def test_a_zero_reference_separation_is_refused(family):
         model.bind(SimpleNamespace(xi=xi, xi_norm=np.linalg.norm(xi, axis=1)))
 
 
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_one_eta_row_broadcasts_over_every_bond(family):
+    # a (dim,) eta on (M, dim) xi is the tiled eta, bitwise; an eta with
+    # another row count is refused
+    model = default_models(delta=2.0, dim=2)[family]
+    xi = np.random.default_rng(3).uniform(0.5, 1.4, (6, 2))
+    eta = np.array([0.1, -0.05])
+    tiled = np.tile(eta, (6, 1))
+    assert np.array_equal(model.force(xi, eta), model.force(xi, tiled))
+    assert np.array_equal(model.potential(xi, eta), model.potential(xi, tiled))
+    for call in (model.force, model.potential):
+        with pytest.raises(ValueError, match="broadcast"):
+            call(xi, np.zeros((5, 2)))
+
+
 def test_an_unbound_model_holds_no_pair_state():
     model = QuadraticPotential()
     model.force(XI, ETA)

@@ -8,9 +8,10 @@ summed per source point. The network's sparse scatter operator is checked
 against the bincount scatter and, whole and row-sliced, against an
 independently built CSC operator; a model bound
 to the network against the same model evaluated call by call, and the
-breaker's row-local force refresh against a fresh force. The neighbor search itself is
-checked against an O(N^2) minimum-image brute force, and the directed search
-against the two-key lexsort it replaced.
+breaker's row-local force refresh against a fresh force. A point's bonds,
+read off its operator row, are checked against two scans of all pairs. The
+neighbor search itself is checked against an O(N^2) minimum-image brute force,
+and the directed search against the two-key lexsort it replaced.
 """
 
 import dataclasses
@@ -218,6 +219,41 @@ def test_the_network_operator_cannot_be_replaced():
     assert bonds.mu[0] == 0.5
 
 
+def two_scan_bonds_of(bonds, point):
+    """BondNetwork.bonds_of by two scans of all pairs: the pairs where point
+    is the neighbor, then those where it is the source."""
+    below = np.flatnonzero(bonds.neighbors == point)
+    above = np.flatnonzero(bonds.source == point)
+    return (
+        np.concatenate([below, above]),
+        np.concatenate([bonds.source[below], bonds.neighbors[above]]),
+        np.concatenate([-bonds.xi[below], bonds.xi[above]]),
+        np.concatenate([bonds.reverse_weights[below], bonds.weights[above]]),
+    )
+
+
+@pytest.mark.parametrize("n, periodic, m, partial_volume, uniform", [
+    (12, (True,), 3.0, "linear", True),
+    (12, (False,), 2.5, "none", False),
+    (7, (True, False), 2.2, "linear", False),
+    (7, (False, False), 3.0, "none", True),
+    (5, (True, True, True), 2.0, "none", True),
+    (5, (False, True, False), 1.8, "linear", False),
+])
+def test_bonds_of_reads_the_operator_row_as_two_scans_do(n, periodic, m, partial_volume,
+                                                         uniform):
+    h = 1.0 / n
+    cloud = build_grid((1.0,) * len(periodic), h, 1.0, periodic=periodic)
+    if not uniform:
+        scale = np.random.default_rng(n).uniform(0.5, 1.5, cloud.n_points)
+        cloud = dataclasses.replace(cloud, volumes=cloud.volumes * scale)
+    bonds = build_bonds(cloud, HorizonConfig(m * h, partial_volume=partial_volume))
+    for point in range(cloud.n_points):
+        got, want = bonds.bonds_of(point), two_scan_bonds_of(bonds, point)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 MU_CHANGES = ("none", "one", "random zeros", "theta-eps fractions", "all")
 
 
@@ -307,6 +343,12 @@ def test_neighbor_pairs_match_brute_force(dim, data, seed, n):
     points = np.vstack([positions, probes])
     # points off the box by whole periods must not matter on periodic axes
     points = points + rng.integers(-1, 2, points.shape) * periodic * box
+    # periodic coordinates at -0.0, at L itself, and a hair outside [0, L)
+    # either side: a hair below 0 wraps to L, which the tree must not see
+    edges = rng.uniform(0.0, 1.0, (5, dim)) * box
+    for row, edge in zip(edges, (-0.0, 1.0, -1e-17, 1.0 + 1e-15, -1e-3)):
+        row[periodic] = edge * box[periodic]
+    points = np.vstack([points, edges])
 
     got_pairs, got_diff, got_dist = neighbor_pairs(points, delta, box, periodic)
     want_pairs, want_diff, want_dist = brute_force_pairs(points, delta, box, periodic)
