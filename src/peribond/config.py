@@ -361,7 +361,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 
 
 def default_config(preset: str = None) -> RunConfig:
-    """The schema's defaults, overlaid with the table of a preset that has one."""
+    """The schema's defaults, overlaid with the table of a preset that has one;
+    a preset outside the [scenario] preset choices is refused by name."""
+    if preset is not None:
+        check_value("scenario", "preset", preset)
     cfg = RunConfig({section: {key: spec.default for key, spec in keys.items()}
                      for section, keys in SCHEMA.items()})
     for section, keys in PRESET_CONFIGS.get(preset, {}).items():

@@ -185,7 +185,7 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4, **scenario_kwargs) -> Conver
     A sin(k (x - c t)) whose wave speed derives from the bond network's own
     linearized modulus. Non-monotone error sequences are reported, never
     suppressed. Extra keyword arguments reach the bar builder (amplitude,
-    c0, rho, length).
+    periods, safety, n_steps).
     """
     from .scenarios import build_bar_wave
 

@@ -113,8 +113,12 @@ class BondNetwork:
 
         Returns (rows, others, xi, weights): the pair rows, the other point
         of each, the separation from `point` to it (the stored xi, negated
-        where `point` is the neighbors end) and the weight onto `point`.
+        where `point` is the neighbors end) and the weight onto `point`. A
+        point outside 0 .. n_points - 1 raises IndexError.
         """
+        if not 0 <= point < self.n_points:
+            raise IndexError(f"point {point} is not one of the {self.n_points} points "
+                             f"0 .. {self.n_points - 1}")
         rows = self.scatter[point].indices.astype(np.int64)
         at_source = self.source[rows] == point
         return (

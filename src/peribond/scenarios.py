@@ -6,7 +6,7 @@ object, then the preset's hook in PRESET_SETUPS adds only what the config
 format cannot say (initial fields, a seeded crack, an oracle); an auto dt
 the hook leaves unset comes from stable_dt last. A hook refuses only a
 horizon that reaches no neighbor, which needs the bond network. The preset
-tables are config's. Each builder overlays its keywords on its table.
+tables are config's; a builder overlays on its table the keywords it is given.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from . import dynamics
-# the preset tables are config's; imported here, they still resolve as scenarios.PRESET_*
-from .config import (FAMILY_KEYS, PRESET_CONFIGS, PRESET_NEEDS, RunConfig,  # noqa: F401
-                     check_kernel, default_config, validate_config)
+from .config import (FAMILY_KEYS, KINDS, RunConfig, check_kernel, check_value, default_config,
+                     validate_config)
 from .discretization import HorizonConfig, PointCloud, build_bonds, build_grid
 from .errors import ConfigError
 from .fluidpd import MemoryConfig
@@ -55,17 +54,26 @@ def linearized_modulus(cloud, bonds, model, point=0, axis=0):
 
 
 def _preset_setup(preset: str, values: dict) -> SimSetup:
-    """Materialize a preset's table overlaid with builder keywords checked by RunConfig.set."""
+    """Materialize a preset's table overlaid with builder keywords checked by
+    RunConfig.set; a keyword left as None keeps the table's value."""
     cfg = default_config(preset)
     for section, keys in values.items():
         for key, value in keys.items():
-            cfg.set(section, key, value)
+            if value is not None:
+                cfg.set(section, key, value)
     return materialize(cfg)
 
 
-def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: float = 1.0,
-                   c0: float = 1.0, micro: str = "cylindrical", amplitude: float = 1e-3,
-                   periods: float = 1.0, safety: float = 0.5, dt: float = None,
+def _resolution(keyword, value, kind):
+    """value if it is a positive value of config kind "int" or "float", else a
+    ConfigError naming the keyword, which sets [domain] h and [horizon] delta."""
+    if KINDS[kind].test(value) and value > 0:
+        return value
+    raise ConfigError(f"{keyword}: must be {KINDS[kind].words} above 0, got {value!r}")
+
+
+def build_bar_wave(delta: float = 0.1, m: int = 4, amplitude: float = None,
+                   periods: float = None, safety: float = None,
                    n_steps: int = None) -> SimSetup:
     """Periodic 1D bar (h = delta / m) carrying a right-traveling sine wave.
 
@@ -73,59 +81,51 @@ def build_bar_wave(delta: float = 0.1, m: int = 4, length: float = 1.0, rho: flo
     modulus, so the oracle measures the nonlocal operator's dispersion
     (vanishing as delta -> 0), not quadrature noise. One period is one
     domain traversal; dt divides it exactly. n_steps=None runs `periods`
-    periods.
+    periods. Every other value is the bar1d-wave table's.
     """
+    h = check_value("horizon", "delta", delta) / _resolution("m", m, "float")
     return _preset_setup("bar1d-wave", {
-        "domain": {"box": (length,), "h": delta / m, "rho": rho},
+        "domain": {"h": h},
         "horizon": {"delta": delta},
-        "kernel": {"c0": c0, "micro": micro},
-        "time": {"dt": "auto" if dt is None else dt, "steps": n_steps or 0,
-                 "safety": safety},
+        "time": {"steps": n_steps, "safety": safety},
         "scenario": {"amplitude": amplitude, "periods": periods},
     })
 
 
-def build_plate_precrack(n: int = 64, size: float = 1.0, m: int = 3, rho: float = 1.0,
-                         modulus: float = 1.0, s0: float = 0.03, v0: float = 0.005,
-                         b0: float = 0.05, n_steps: int = 800, safety: float = 0.5,
-                         dt: float = None, record_every: int = None) -> SimSetup:
-    """Square n x n plate, seeded through-crack, opened by a tensile pull.
+def build_plate_precrack(n: int = 64, v0: float = None, b0: float = None,
+                         n_steps: int = None, record_every: int = None) -> SimSetup:
+    """Unit n x n plate (delta = 3h), seeded through-crack, opened by a tensile pull.
 
-    The crack is the segment y = size/2, x in [size/4, 3 size/4]: every bond
-    crossing it starts broken. The two halves are pulled apart by an opposing
-    body force of magnitude b0 plus an opening velocity v0, and a
-    critical-stretch breaker at s0 lets the crack extend. The bond constant
-    is normalized so the linearized modulus equals `modulus`, keeping wave
-    speed and time scale near unity at any resolution. record_every=None
-    records at the preset table's cadence.
+    The crack is the segment y = 1/2, x in [1/4, 3/4]: every bond crossing it
+    starts broken. The two halves are pulled apart by an opposing body force
+    of magnitude b0 plus an opening velocity v0, and a critical-stretch
+    breaker lets the crack extend. The bond constant is normalized so the
+    linearized modulus equals [kernel] c0, keeping wave speed and time scale
+    near unity at any resolution. Every other value is the plate2d-precrack
+    table's.
     """
-    h = size / n
-    time_keys = {"dt": "auto" if dt is None else dt, "steps": n_steps, "safety": safety}
-    if record_every is not None:
-        time_keys["record_every"] = record_every
+    h = 1.0 / _resolution("n", n, "int")
     return _preset_setup("plate2d-precrack", {
-        "domain": {"box": (size, size), "h": h, "rho": rho},
-        "horizon": {"delta": m * h},
-        "kernel": {"c0": modulus},
-        "breaker": {"s0": s0},
-        "load": {"amplitude": (0.0, b0), "center": 0.5 * size},
-        "time": time_keys,
+        "domain": {"h": h},
+        "horizon": {"delta": 3 * h},
+        "load": {"amplitude": None if b0 is None else (0.0, b0)},
+        "time": {"steps": n_steps, "record_every": record_every},
         "scenario": {"v0": v0},
     })
 
 
-def build_fluid_shear(n: int = 24, size: float = 1.0, m: int = 3, rho: float = 1.0,
-                      coefficient: float = 50.0, v0: float = 1.0, dt: float = 0.02,
-                      n_steps: int = 2000) -> SimSetup:
-    """Doubly periodic n x n sheet with a sinusoidal shear velocity profile.
+def build_fluid_shear(n: int = 24, coefficient: float = None, v0: float = None,
+                      dt: float = None, n_steps: int = None) -> SimSetup:
+    """Doubly periodic unit n x n sheet (delta = 3h) with a sinusoidal shear flow.
 
     Under the zero-memory velocity-difference kernel the shear layer decays
-    like a viscous fluid's; kinetic energy is monotone non-increasing.
+    like a viscous fluid's; kinetic energy is monotone non-increasing. Every
+    other value is the fluid-shear table's.
     """
-    h = size / n
+    h = 1.0 / _resolution("n", n, "int")
     return _preset_setup("fluid-shear", {
-        "domain": {"box": (size, size), "h": h, "rho": rho},
-        "horizon": {"delta": m * h},
+        "domain": {"h": h},
+        "horizon": {"delta": 3 * h},
         "memory": {"coefficient": coefficient},
         "time": {"dt": dt, "steps": n_steps},
         "scenario": {"v0": v0},

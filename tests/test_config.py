@@ -159,6 +159,16 @@ def test_forced_preset_flag():
         parse_config("", forced_preset="warp-drive")
 
 
+def test_default_config_refuses_an_unknown_preset_by_name():
+    expected = ("[scenario] preset: must be one of none, bar1d-wave, plate2d-precrack, "
+                "fluid-shear; got 'plate-2d'")
+    with pytest.raises(ConfigError) as refused:
+        default_config("plate-2d")
+    assert str(refused.value) == expected
+    assert default_config("none") == default_config()
+    assert default_config("fluid-shear").get("scenario", "preset") == "fluid-shear"
+
+
 def test_print_parse_round_trip_exact():
     cfg = default_config()
     assert parse_config(print_config(cfg)) == cfg

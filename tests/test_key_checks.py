@@ -3,16 +3,18 @@
 A value reaches a RunConfig through the parser, through RunConfig.set, or
 through a keyword of a preset builder. All three apply config.check_value, so
 an out-of-range value, or a value of the wrong type, gets the same message
-naming [section] key from each; the parser adds the line.
+naming [section] key from each; the parser adds the line. A preset key that
+no builder takes is set through RunConfig.set on the preset's table.
 """
 
+import inspect
 import math
 
 from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from peribond import scenarios
+from peribond import dynamics, scenarios
 from peribond.config import (SCHEMA, _format_value, default_config, parse_config,
                              print_config)
 from peribond.errors import ConfigError
@@ -101,24 +103,14 @@ def test_parser_and_set_agree_on_any_number(where, number):
 
 BUILDER_KEYWORDS = [
     (scenarios.build_bar_wave, "safety", "time", "safety"),
-    (scenarios.build_bar_wave, "micro", "kernel", "micro"),
-    (scenarios.build_bar_wave, "c0", "kernel", "c0"),
-    (scenarios.build_bar_wave, "rho", "domain", "rho"),
     (scenarios.build_bar_wave, "amplitude", "scenario", "amplitude"),
     (scenarios.build_bar_wave, "periods", "scenario", "periods"),
-    (scenarios.build_bar_wave, "dt", "time", "dt"),
-    (scenarios.build_plate_precrack, "s0", "breaker", "s0"),
-    (scenarios.build_plate_precrack, "modulus", "kernel", "c0"),
     (scenarios.build_plate_precrack, "v0", "scenario", "v0"),
     (scenarios.build_plate_precrack, "n_steps", "time", "steps"),
-    (scenarios.build_plate_precrack, "safety", "time", "safety"),
     (scenarios.build_fluid_shear, "coefficient", "memory", "coefficient"),
     (scenarios.build_fluid_shear, "v0", "scenario", "v0"),
     (scenarios.build_fluid_shear, "dt", "time", "dt"),
-    (scenarios.build_fluid_shear, "rho", "domain", "rho"),
     (scenarios.build_bar_wave, "n_steps", "time", "steps"),
-    (scenarios.build_plate_precrack, "dt", "time", "dt"),
-    (scenarios.build_plate_precrack, "rho", "domain", "rho"),
     (scenarios.build_fluid_shear, "n_steps", "time", "steps"),
     (scenarios.build_plate_precrack, "record_every", "time", "record_every"),
 ]
@@ -141,8 +133,87 @@ def test_safety_out_of_range_is_refused_by_name():
 
 
 def test_unknown_micro_modulus_is_refused_by_name():
+    # a builder takes no micro keyword; the value is set the one config way
+    cfg = default_config("bar1d-wave")
     with pytest.raises(ConfigError, match=r"^\[kernel\] micro: must be one of .*; got 'bogus'$"):
-        scenarios.build_bar_wave(micro="bogus")
+        cfg.set("kernel", "micro", "bogus")
+    assert cfg == default_config("bar1d-wave")
+
+
+# the keywords each builder takes: the ones some caller outside the tests
+# passes, besides the resolution (n, or delta and m)
+BUILDER_SIGNATURES = {
+    scenarios.build_bar_wave: ("delta", "m", "amplitude", "periods", "safety", "n_steps"),
+    scenarios.build_plate_precrack: ("n", "v0", "b0", "n_steps", "record_every"),
+    scenarios.build_fluid_shear: ("n", "coefficient", "v0", "dt", "n_steps"),
+}
+
+
+def test_builders_take_only_their_keywords():
+    for builder, keywords in BUILDER_SIGNATURES.items():
+        assert tuple(inspect.signature(builder).parameters) == keywords
+    with pytest.raises(TypeError, match="micro"):
+        scenarios.build_bar_wave(micro="cylindrical")
+
+
+# each resolution keyword sets [domain] h and [horizon] delta together, so
+# it is refused under its own name before any key is set
+RESOLUTIONS = ([(builder, "n", value, "an integer")
+                for builder in (scenarios.build_plate_precrack, scenarios.build_fluid_shear)
+                for value in (0, -1, 2.5, "x", True)]
+               + [(scenarios.build_bar_wave, "m", value, "a number")
+                  for value in (0, -1, "x")])
+
+
+@pytest.mark.parametrize("builder, keyword, value, words", RESOLUTIONS)
+def test_resolution_keywords_are_refused_by_name(monkeypatch, builder, keyword, value, words):
+    def unset(*args, **kwargs):
+        raise AssertionError("a key was set before the resolution was refused")
+
+    monkeypatch.setattr(scenarios.RunConfig, "set", unset)
+    assert message(builder, **{keyword: value}) == (
+        f"{keyword}: must be {words} above 0, got {value!r}")
+
+
+def test_the_bar_refuses_its_delta_by_name():
+    for value in ("x", 0.0, -0.1):
+        assert message(scenarios.build_bar_wave, delta=value) == set_message(
+            "horizon", "delta", value)
+
+
+def plate_modulus(setup):
+    """The plate's linearized modulus at its center point, across the crack."""
+    n_y = int(round(setup.cloud.box[1] / setup.cloud.spacing))
+    return scenarios.linearized_modulus(setup.cloud, setup.bonds, setup.model,
+                                        point=setup.cloud.n_points // 2 + n_y // 2, axis=1)
+
+
+# preset keys that no builder takes: each is set the one config way, on the
+# preset's table, and read back from the materialized setup
+CONFIG_WAY = [
+    ("bar1d-wave", "kernel", "c0", 2.0, lambda s: s.model.micro.c0),
+    ("bar1d-wave", "kernel", "micro", "triangular", lambda s: s.model.micro.family),
+    ("bar1d-wave", "domain", "rho", 2.0, lambda s: s.cloud.density),
+    ("bar1d-wave", "time", "dt", 1e-3, lambda s: s.dt),
+    ("plate2d-precrack", "kernel", "c0", 2.0, plate_modulus),
+    ("plate2d-precrack", "breaker", "s0", 0.05, lambda s: s.model.breaker.s0),
+    ("plate2d-precrack", "domain", "rho", 2.0, lambda s: s.cloud.density),
+    ("plate2d-precrack", "time", "dt", 1e-3, lambda s: s.dt),
+    ("plate2d-precrack", "time", "safety", 0.25,
+     lambda s: s.dt / dynamics.stable_dt(s.cloud, s.bonds, s.model, 1.0)),
+    ("fluid-shear", "domain", "rho", 2.0, lambda s: s.cloud.density),
+]
+CONFIG_WAY_IDS = [f"{preset}-{section}-{key}" for preset, section, key, _, _ in CONFIG_WAY]
+
+
+@pytest.mark.parametrize("preset, section, key, value, read", CONFIG_WAY, ids=CONFIG_WAY_IDS)
+def test_preset_keys_no_builder_takes_are_set_the_config_way(preset, section, key, value, read):
+    cfg = default_config(preset)
+    for bad in bad_values(SCHEMA[section][key]):
+        assert message(cfg.set, section, key, bad) == set_message(section, key, bad)
+    assert cfg == default_config(preset)
+    cfg.set(section, key, value)
+    assert read(scenarios.materialize(cfg)) == pytest.approx(value, rel=1e-12)
 
 
 # what a value of each field kind must be, in the parser's words, and values
@@ -203,6 +274,16 @@ def test_builder_keywords_refuse_a_value_of_the_wrong_type_alike(builder, keywor
             expected = wrong_type_message(section, key, value)
             assert set_message(section, key, value) == expected
             assert message(builder, **{keyword: value}) == expected
+
+
+@pytest.mark.parametrize("preset, section, key, value, read", CONFIG_WAY, ids=CONFIG_WAY_IDS)
+def test_preset_keys_no_builder_takes_refuse_a_value_of_the_wrong_type_alike(
+        preset, section, key, value, read):
+    cfg = default_config(preset)
+    for wrong in WRONG_BY_KIND[SCHEMA[section][key].kind]:
+        if wrong is not None:
+            assert message(cfg.set, section, key, wrong) == wrong_type_message(section, key, wrong)
+    assert cfg == default_config(preset)
 
 
 def test_wrong_typed_builder_values_are_refused_by_name():

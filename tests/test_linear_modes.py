@@ -1,0 +1,79 @@
+"""Zero-memory linear modes against a lattice-sum oracle.
+
+On a uniform periodic lattice the linear fluid kernel maps a velocity mode
+v = A e sin(k . x) onto itself: pairing each neighbor offset xi with -xi,
+
+    f = -rho lambda v,  lambda = (c / rho) sum_j V_j taper_j (n_j . e)^2 (1 - cos k . xi_j),
+
+summed over the lattice offsets in the horizon, n_j = xi_j / |xi_j|, when
+the lattice's reflections make that sum parallel to e. The loop evaluates
+the force at v_n and again at v_half, so each step multiplies the mode by
+(1 - lambda dt / 2)^2 and KE_n = KE_0 (1 - lambda dt / 2)^(4 n).
+
+The oracle builds its offsets from h, delta and the taper formula alone,
+never from a bond network or a pair search. The points move as the fluid
+flows, so a longitudinal mode keeps its horizon off the lattice distances
+(a pair at exactly delta leaves the horizon at the first step), and its
+amplitude small enough that advection stays below the tolerance.
+"""
+
+from itertools import product
+import math
+
+import numpy as np
+import pytest
+
+from peribond.discretization import HorizonConfig, build_grid
+from peribond.dynamics import zero_state
+from peribond.fluidpd import MemoryConfig, run_fluid
+
+REL_TOL = 1e-10
+C = 50.0     # [memory] coefficient, as the fluid-shear preset's
+RHO = 1.0
+STEPS = 200
+
+
+def lattice_lambda(n, delta_in_h, e_axis, k_axis, dim):
+    """lambda of the mode e sin(2 pi x_k) on the unit lattice of n points per
+    axis, summed over the integer offsets within the horizon."""
+    h = 1.0 / n
+    delta = delta_in_h * h
+    reach = math.ceil(delta_in_h) + 1
+    total = 0.0
+    for offset in product(range(-reach, reach + 1), repeat=dim):
+        xi = h * np.array(offset, dtype=float)
+        r = float(np.linalg.norm(xi))
+        if r == 0.0 or r > delta * (1.0 + 1e-9):
+            continue
+        taper = min(1.0, max(0.0, (delta + 0.5 * h - r) / h))
+        n_e = xi[e_axis] / r
+        total += h ** dim * taper * n_e ** 2 * (1.0 - math.cos(2.0 * math.pi * xi[k_axis]))
+    return C / RHO * total
+
+
+# (n, dim, delta / h, e axis, k axis, dt, amplitude, the lambda a separate
+# scratch calculation gave)
+CASES = {
+    "fluid-shear lattice, shear": (24, 2, 3.0, 0, 1, 0.02, 1e-6, 0.040305),
+    "2D longitudinal": (16, 2, 3.05, 1, 1, 0.02, 1e-7, 0.58402),
+    "1D longitudinal": (40, 1, 4.05, 0, 0, 0.002, 1e-6, 0.68822),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_zero_memory_mode_decays_at_the_lattice_rate(case):
+    n, dim, delta_in_h, e_axis, k_axis, dt, amplitude, lam_expected = CASES[case]
+    lam = lattice_lambda(n, delta_in_h, e_axis, k_axis, dim)
+    assert lam == pytest.approx(lam_expected, rel=1e-4)
+
+    h = 1.0 / n
+    cloud = build_grid((1.0,) * dim, h, RHO, periodic=(True,) * dim)
+    state = zero_state(cloud)
+    state.v[:, e_axis] = amplitude * np.sin(2.0 * math.pi * cloud.positions[:, k_axis])
+    result = run_fluid(cloud, HorizonConfig(delta_in_h * h), None,
+                       MemoryConfig(mode="zero", coefficient=C), state, dt, STEPS)
+
+    kinetic = result.series["kinetic"]
+    assert kinetic.size == STEPS + 1
+    predicted = kinetic[0] * (1.0 - 0.5 * lam * dt) ** (4 * np.arange(STEPS + 1))
+    assert np.max(np.abs(kinetic / predicted - 1.0)) < REL_TOL

@@ -30,6 +30,7 @@ from peribond.discretization import (
     neighbor_pairs,
     partial_volume_factor,
 )
+from peribond.diagnostics import stretch_compare
 from peribond.dynamics import (
     NetworkForce,
     internal_force,
@@ -252,6 +253,13 @@ def test_bonds_of_reads_the_operator_row_as_two_scans_do(n, periodic, m, partial
         got, want = bonds.bonds_of(point), two_scan_bonds_of(bonds, point)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+    # a point outside the cloud is refused, not read as a row counted from the end
+    n = cloud.n_points
+    for point in (-1, -2, n):
+        with pytest.raises(IndexError, match=rf"^point {point} is not one of the {n} points"):
+            bonds.bonds_of(point)
+    with pytest.raises(IndexError, match=r"^point -2 "):
+        stretch_compare(cloud, bonds, zero_state(cloud), -2)
 
 
 MU_CHANGES = ("none", "one", "random zeros", "theta-eps fractions", "all")

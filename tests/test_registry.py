@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from peribond import discretization, dynamics, fluidpd, scenarios
-from peribond.config import FAMILY_KEYS, PRESET_KEYS, SCHEMA, SELECTED_KEYS, default_config
+from peribond.config import (FAMILY_KEYS, PRESET_CONFIGS, PRESET_KEYS, PRESET_NEEDS, SCHEMA,
+                             SELECTED_KEYS, default_config)
 from peribond.errors import ConfigError
 from peribond.kernels import (
     BREAKER_MODES,
@@ -165,10 +166,10 @@ def test_a_family_set_past_the_parser_is_refused_by_name():
         model_from_config(cfg, 0.5, 1)
 
 
-@pytest.mark.parametrize("preset", sorted(scenarios.PRESET_CONFIGS))
+@pytest.mark.parametrize("preset", sorted(PRESET_CONFIGS))
 def test_preset_models_match_the_explicit_constructors(preset):
     cfg = default_config()
-    for section, keys in scenarios.PRESET_CONFIGS[preset].items():
+    for section, keys in PRESET_CONFIGS[preset].items():
         cfg.sections[section].update(keys)
     delta, dim = cfg.get("horizon", "delta"), cfg.get("domain", "dim")
     assert model_from_config(cfg, delta, dim) == explicit_model_from_config(cfg, delta, dim)
@@ -198,10 +199,10 @@ def test_preset_tables_name_the_same_presets():
     choices = SCHEMA["scenario"]["preset"].choices
     assert sorted(PRESET_KEYS) == sorted(choices)
     shipped = sorted(set(choices) - {"none"})
-    assert sorted(scenarios.PRESET_CONFIGS) == shipped
+    assert sorted(PRESET_CONFIGS) == shipped
     assert sorted(scenarios.PRESET_SETUPS) == shipped
-    assert sorted(scenarios.PRESET_NEEDS) == shipped
-    for preset, table in scenarios.PRESET_CONFIGS.items():
+    assert sorted(PRESET_NEEDS) == shipped
+    for preset, table in PRESET_CONFIGS.items():
         assert table["scenario"]["preset"] == preset
         keys = tuple(key for key in table["scenario"] if key != "preset")
         assert keys == PRESET_KEYS[preset]

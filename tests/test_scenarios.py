@@ -97,8 +97,8 @@ def test_builders_record_at_their_preset_tables_cadence(preset, builder):
     ("fluid-shear", build_fluid_shear),
 ])
 def test_builder_defaults_are_their_preset_table(preset, builder):
-    """A builder's keyword defaults declare its preset a second time; the two
-    copies must build the same setup."""
+    """A builder left at its defaults builds its preset's table: the one
+    value it restates is the resolution (n, or delta and m)."""
     built = builder()
     table = materialize(parse_config(f"[scenario]\npreset = {preset}\n"))
     for name in ("positions", "volumes", "box", "periodic"):
