@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import math
 import numbers
 
-from .discretization import PARTIAL_VOLUME_MODES
+from .discretization import PARTIAL_VOLUME_MODES, check_minimum_image, grid_counts
 from .dynamics import LOAD_PRESETS
 from .errors import ConfigError
 from .fluidpd import FLUID_KERNELS, MEMORY_MODES
@@ -311,6 +311,14 @@ def check_kernel(cfg: RunConfig) -> BondBreaker:
     return breaker
 
 
+def _naming(section, key, check, *args):
+    """check(*args), with its ConfigError prefixed by the key it concerns."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Cross-key checks after the per-key ones: cfg if some run can honour
     every key together, else a ConfigError naming the first key that
@@ -323,6 +331,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 f"[domain] {key}: needs exactly {dim} entries for dim = {dim}, "
                 f"got {len(seq)}"
             )
+    box, periodic = cfg.get("domain", "box"), cfg.get("domain", "periodic")
+    _naming("domain", "h", grid_counts, box, cfg.get("domain", "h"))
+    _naming("horizon", "delta", check_minimum_image, cfg.get("horizon", "delta"), box, periodic)
     # alpha is also the quadratic coefficient (any positive value, checked
     # by check_kernel); (0, 1) bounds only the power-law exponent
     alpha = cfg.get("kernel", "alpha")

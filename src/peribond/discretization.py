@@ -9,6 +9,7 @@ separations.
 """
 
 from dataclasses import dataclass
+import math
 import warnings
 
 import numpy as np
@@ -157,17 +158,7 @@ def build_grid(box, spacing, density, periodic=None) -> PointCloud:
             f"got {periodic.shape[0]}"
         )
 
-    counts = np.empty(dim, dtype=np.int64)
-    for axis in range(dim):
-        ratio = box[axis] / spacing
-        n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"box edge {box[axis]} on axis {axis} is not an integer "
-                f"multiple of spacing {spacing}"
-            )
-        counts[axis] = n
-
+    counts = grid_counts(box, spacing)
     positions = np.ascontiguousarray(
         (np.indices(counts).reshape(dim, -1).T + 0.5) * spacing)
     volumes = np.full(positions.shape[0], spacing**dim)
@@ -179,6 +170,34 @@ def build_grid(box, spacing, density, periodic=None) -> PointCloud:
         box=box,
         periodic=periodic,
     )
+
+
+def grid_counts(box, spacing):
+    """Cells per axis of a box tiled by cells of edge spacing, or a
+    ConfigError naming the first axis whose edge is not an integer multiple
+    of the spacing (relative tolerance 1e-9)."""
+    counts = []
+    for axis, edge in enumerate(box):
+        ratio = edge / spacing
+        n = round(ratio) if math.isfinite(ratio) else 0
+        if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+            raise ConfigError(
+                f"box edge {edge} on axis {axis} is not an integer "
+                f"multiple of spacing {spacing}"
+            )
+        counts.append(n)
+    return tuple(counts)
+
+
+def check_minimum_image(delta, box, periodic):
+    """A ConfigError naming the first periodic axis whose half edge delta
+    exceeds: past it a point's horizon reaches two images of one neighbor."""
+    for axis in np.flatnonzero(periodic):
+        if delta > 0.5 * box[axis]:
+            raise ConfigError(
+                f"horizon delta {delta} exceeds half the periodic box "
+                f"edge {box[axis]} on axis {axis} (minimum image invalid)"
+            )
 
 
 def partial_volume_factor(r, spacing, delta):
@@ -228,12 +247,7 @@ def neighbor_pairs(positions, delta, box, periodic):
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
     periodic = np.asarray(periodic, dtype=bool)
-    for axis in np.flatnonzero(periodic):
-        if delta > 0.5 * box[axis]:
-            raise ConfigError(
-                f"horizon delta {delta} exceeds half the periodic box "
-                f"edge {box[axis]} on axis {axis} (minimum image invalid)"
-            )
+    check_minimum_image(delta, box, periodic)
     boxsize = np.where(periodic, box, 0.0)
     wrapped = np.mod(positions, boxsize, out=positions.copy(), where=periodic)
     # a coordinate a hair below 0 wraps to L itself, which the tree refuses
@@ -275,43 +289,34 @@ class PairBuffers:
 
 
 def directed_pairs(positions, delta, box, periodic, buffers=None):
-    """Both directions of every in-horizon pair, sorted by (source, neighbor).
+    """Both directions of every in-horizon pair, each point's neighbors ascending.
 
     Returns (source, neighbors, xi, dist) for bonds with 0 <= d <= delta,
     coincident pairs included — callers decide whether coincidence is an
     error. The zero-memory fluid force searches the current shape with it.
-    Sorted by the unique key source*N + neighbor, so by any sort algorithm.
-    xi is (M, dim) with one contiguous column per axis.
+    The P pairs of neighbor_pairs are written twice, in their (i, j) order:
+    rows 0 .. P - 1 reversed (source j, neighbor i, xi = -diff), then rows
+    P .. 2P - 1 as found (source i, neighbor j, xi = diff). So each point's
+    rows list its neighbors in ascending order, those below it first, as a
+    sort by (source, neighbor) would, and a per-point bincount adds the same
+    terms in the same order. xi is (M, dim) with one contiguous column per
+    axis.
 
-    The arrays are views into buffers, a PairBuffers of 3 int and dim + 2
+    The arrays are views into buffers, a PairBuffers of 2 int and dim + 1
     float columns (fresh ones when none are given), valid until its next
     reserve: source and neighbors are int columns 0 and 1, xi float columns
-    0 to dim - 1 and dist float column dim. Int column 2 and float column
-    dim + 1 are scratch.
+    0 to dim - 1 and dist float column dim.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
     p, dim = diff.shape
-    ints, floats = (PairBuffers(3, dim + 2) if buffers is None else buffers).reserve(2 * p)
-    source, neighbors, key = ints[:3]
-    spare = floats[dim + 1]
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    np.multiply(lo, len(positions), out=key[:p])
-    key[:p] += hi
-    np.multiply(hi, len(positions), out=key[p:])
-    key[p:] += lo
-    order = np.argsort(key)
-    # each column is gathered from both halves laid out in a scratch column;
-    # order is in range, so mode "clip" only spares numpy a copy of out
-    key[:p], key[p:] = lo, hi
-    np.take(key, order, out=source, mode="clip")
-    key[:p], key[p:] = hi, lo
-    np.take(key, order, out=neighbors, mode="clip")
+    (source, neighbors), floats = (
+        PairBuffers(2, dim + 1) if buffers is None else buffers).reserve(2 * p)
+    source[:p], source[p:] = pairs[:, 1], pairs[:, 0]
+    neighbors[:p], neighbors[p:] = pairs[:, 0], pairs[:, 1]
     for diff_k, xi_k in zip(diff.T, floats):
-        spare[:p] = diff_k
-        np.negative(diff_k, out=spare[p:])
-        np.take(spare, order, out=xi_k, mode="clip")
-    spare[:p], spare[p:] = dist, dist
-    np.take(spare, order, out=floats[dim], mode="clip")
+        np.negative(diff_k, out=xi_k[:p])
+        xi_k[p:] = diff_k
+    floats[dim, :p], floats[dim, p:] = dist, dist
     return source, neighbors, floats[:dim].T, floats[dim]
 
 

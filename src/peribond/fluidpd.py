@@ -135,9 +135,9 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
 
 def fluid_workspace(dim):
     """The per-pair buffers of fluid_force in dim dimensions: its search's
-    (directed_pairs), and its own scratch, weights, dot and the dv and f
-    columns of every axis."""
-    return PairBuffers(3, dim + 2), PairBuffers(0, 2 * dim + 3)
+    (directed_pairs: source, neighbors, the xi columns and dist), and its
+    own scratch, weights, dot and the dv and f columns of every axis."""
+    return PairBuffers(2, dim + 1), PairBuffers(0, 2 * dim + 3)
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
@@ -163,9 +163,10 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
                                                  cloud.periodic, buffers=search)
     if not dist.all():
+        # the first zero lies in the reversed half, where neighbors holds the lower index
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
-            f"particles {int(source[k])} and {int(neighbors[k])} coincide "
+            f"particles {int(neighbors[k])} and {int(source[k])} coincide "
             "in the deformed configuration"
         )
     _, columns = own.reserve(dist.size)

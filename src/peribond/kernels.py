@@ -710,8 +710,10 @@ def check_kernel_axioms(model, dim, n_samples=1000, seed=0):
     of f with xi + eta, and the match between f and the central-difference
     eta-gradient of the potential (step 1e-6 max(1, |eta|)). Samples whose FD
     stencil straddles a force discontinuity are excluded from the gradient
-    check and counted in the report.
+    check and counted in the report. n_samples below 1 is a ConfigError.
     """
+    if n_samples < 1:
+        raise ConfigError(f"n_samples: must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     scale = model.support_radius if math.isfinite(model.support_radius) else 1.0
     r = rng.uniform(0.1 * scale, scale, n_samples)

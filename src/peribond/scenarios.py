@@ -134,12 +134,13 @@ def build_fluid_shear(n: int = 24, coefficient: float = None, v0: float = None,
 
 def _seed_crack(cloud, bonds, y_c, x0, x1):
     """Zero out bonds whose reference segment crosses the seam y = y_c,
-    x in [x0, x1]."""
+    x in [x0, x1]. A point on the seam counts as above it, so a row of
+    points there is cut off from the row below."""
     pos_i = cloud.positions[bonds.source]
     pos_j = pos_i + bonds.xi
     yi = pos_i[:, 1] - y_c
     yj = pos_j[:, 1] - y_c
-    straddles = yi * yj < 0.0
+    straddles = (yi < 0.0) != (yj < 0.0)
     t = np.zeros_like(yi)
     np.divide(-yi, yj - yi, out=t, where=straddles)
     x_cross = pos_i[:, 0] + t * (pos_j[:, 0] - pos_i[:, 0])
@@ -192,7 +193,7 @@ def _plate_precrack(cfg: RunConfig, setup: SimSetup):
     y_c = 0.5 * cloud.box[1]
     _seed_crack(cloud, bonds, y_c, 0.25 * cloud.box[0], 0.75 * cloud.box[0])
     setup.state.v[:, 1] = (cfg.get("scenario", "v0")
-                           * np.sign(cloud.positions[:, 1] - y_c))
+                           * np.where(cloud.positions[:, 1] < y_c, -1.0, 1.0))
 
 
 def _fluid_shear(cfg: RunConfig, setup: SimSetup):

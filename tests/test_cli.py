@@ -131,6 +131,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     "[memory]\nmode = zero\n",
     "[kernel]\nfamily = quadratic\n[breaker]\nmode = critical-stretch\ns0 = 0.1\n",
     "[kernel]\nfamily = quadratic\nalpha = 0\n",
+    "[domain]\nh = 0.3\n",
+    "[domain]\ndim = 2\nbox = 1.0, 1.0\nperiodic = true, true\n[horizon]\ndelta = 0.6\n",
 ])
 def test_print_config_refuses_what_run_refuses(tmp_path, capsys, text):
     cfg = write(tmp_path, "bad.cfg", text)
@@ -216,6 +218,14 @@ def test_kernel_check(capsys):
 
     assert cli(["kernel-check", "--family", "bogus"]) == 2
     assert "unknown kernel family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_kernel_check_refuses_no_samples(capsys, samples):
+    assert cli(["kernel-check", "--samples", samples]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"config error: n_samples: must be at least 1, got {samples}\n"
 
 
 def test_kernel_check_fails_a_broken_family(monkeypatch, capsys):

@@ -4,9 +4,10 @@ fluid_force and KernelModel.force handle per-pair vectors one contiguous
 column per axis. The broadcast forms they replaced are kept here as slow
 oracles: fluid_force built (M, dim) arrays, scaled them by per-pair scalars
 through [:, None], reduced the dot product with np.sum(axis=1) and summed
-per point through _accumulate; KernelModel.force scaled z by coef[:, None].
-Both sides form every value by the same operations in the same order, so the
-results must be bitwise equal.
+per point through _accumulate, over the directed pairs sorted by (source,
+neighbor); KernelModel.force scaled z by coef[:, None]. Both sides form every
+value by the same operations in the same order, so the results must be
+bitwise equal.
 """
 
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from peribond.dynamics import zero_state
 from peribond.errors import SingularConfigurationError
 from peribond.fluidpd import FLUID_KERNELS, FluidState, MemoryConfig, MemoryForce, fluid_force
 from peribond.kernels import default_models, lengths
+from test_pair_network import lexsort_directed_pairs
 
 
 def _accumulate(source, values, n_points):
@@ -36,8 +38,8 @@ def _accumulate(source, values, n_points):
 
 def broadcast_fluid_force(cloud, state, memory, horizon, model=None):
     v = state.velocities
-    source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta,
-                                                 cloud.box, cloud.periodic)
+    source, neighbors, xi, dist = lexsort_directed_pairs(state.positions, horizon.delta,
+                                                         cloud.box, cloud.periodic)
     weights = np.take(cloud.volumes, neighbors)
     if horizon.partial_volume == "linear" and dist.size:
         weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)

@@ -239,11 +239,19 @@ def valid_configs(draw):
                 if memory == "infinite" and family in BREAKER_FAMILIES else ("none",))
     breaker = draw(st.sampled_from(breakers))
     load = draw(st.sampled_from(SCHEMA["load"]["preset"].choices))
+    # the box is tiled by the spacing, and a horizon sees one image of a
+    # neighbor across each periodic axis
+    h = draw(st.floats(1e-6, 1e6))
+    box = tuple(h * n for n in draw(st.lists(st.integers(1, 10**4), min_size=dim,
+                                             max_size=dim)))
+    periodic = tuple(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    reach = min((edge for edge, wraps in zip(box, periodic) if wraps), default=math.inf)
     fixed = {
         ("domain", "dim"): dim,
-        ("domain", "box"): tuple(draw(st.lists(POSITIVE, min_size=dim, max_size=dim))),
-        ("domain", "periodic"): tuple(draw(st.lists(st.booleans(), min_size=dim,
-                                                    max_size=dim))),
+        ("domain", "box"): box,
+        ("domain", "h"): h,
+        ("domain", "periodic"): periodic,
+        ("horizon", "delta"): draw(st.floats(0.0, 0.5 * reach, exclude_min=True)),
         ("kernel", "family"): family,
         ("memory", "mode"): memory,
         ("breaker", "mode"): breaker,

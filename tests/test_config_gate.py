@@ -54,6 +54,12 @@ REFUSED = [
      "[kernel] alpha: must be positive for the quadratic family, got 0.0"),
     ("none", {("kernel", "family"): "quadratic", ("kernel", "alpha"): -2.5},
      "[kernel] alpha: must be positive for the quadratic family, got -2.5"),
+    ("none", {("domain", "h"): 0.3},
+     "[domain] h: box edge 1.0 on axis 0 is not an integer multiple of spacing 0.3"),
+    ("none", {("domain", "dim"): 2, ("domain", "box"): (1.0, 1.0),
+              ("domain", "periodic"): (True, True), ("horizon", "delta"): 0.6},
+     "[horizon] delta: horizon delta 0.6 exceeds half the periodic box edge 1.0 on "
+     "axis 0 (minimum image invalid)"),
 ]
 
 

@@ -122,23 +122,22 @@ def test_marginal_bonds_kept_uniformly():
     assert np.all(bonds.degrees() == bonds.degrees()[0])
 
 
-def test_directed_pairs_double_and_sort():
+def test_directed_pairs_write_each_pair_twice():
     cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
     source, neighbors, xi, dist = directed_pairs(cloud.positions, 0.25,
                                                  cloud.box, cloud.periodic)
-    assert len(source) == 6  # 3 unordered adjacent pairs, both directions
-    assert np.all(np.diff(source) >= 0)
-    # each directed bond's reverse is present with negated offset
-    fwd = {(int(s), int(n)): x for s, n, x in zip(source, neighbors, xi[:, 0])}
-    for (s, n), x in fwd.items():
-        assert fwd[(n, s)] == -x
+    # 3 unordered adjacent pairs, reversed first, then as found
+    assert source.tolist() == [1, 2, 3, 0, 1, 2]
+    assert neighbors.tolist() == [0, 1, 2, 1, 2, 3]
+    assert xi[:, 0].tolist() == [-0.25] * 3 + [0.25] * 3
+    assert dist.tolist() == [0.25] * 6
 
 
 def test_directed_pairs_fill_the_buffers_they_are_given():
     # the buffers hold exactly the search's columns; a smaller second search
     # refills them and gives the same arrays as a search into fresh buffers
     cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, False))
-    buffers = PairBuffers(3, cloud.dim + 2)
+    buffers = PairBuffers(2, cloud.dim + 1)
     first = directed_pairs(cloud.positions, 0.25, cloud.box, cloud.periodic,
                            buffers=buffers)[0].size
     got = directed_pairs(cloud.positions[:40], 0.25, cloud.box, cloud.periodic,
@@ -146,6 +145,8 @@ def test_directed_pairs_fill_the_buffers_they_are_given():
     fresh = directed_pairs(cloud.positions[:40], 0.25, cloud.box, cloud.periodic)
     assert 0 < got[0].size < first
     ints, floats = buffers.reserve(got[0].size)
+    assert np.array_equal(np.stack(got[:2]), ints)
+    assert np.array_equal(np.vstack([got[2].T, got[3]]), floats)
     assert all(np.shares_memory(a, ints) for a in got[:2])
     assert all(np.shares_memory(a, floats) for a in got[2:])
     for a, b in zip(got, fresh):

@@ -11,7 +11,8 @@ to the network against the same model evaluated call by call, and the
 breaker's row-local force refresh against a fresh force. A point's bonds,
 read off its operator row, are checked against two scans of all pairs. The
 neighbor search itself is checked against an O(N^2) minimum-image brute force,
-and the directed search against the two-key lexsort it replaced.
+and the directed search against the pairs it doubles and the two-key lexsort
+it replaced.
 """
 
 import dataclasses
@@ -389,7 +390,7 @@ def test_exact_refilter_drops_what_the_tree_lets_through():
 def lexsort_directed_pairs(positions, delta, box, periodic):
     """Both directions of every pair from neighbor_pairs, ordered by a
     two-key lexsort on (source, neighbor): the directed search as first
-    written, kept as the reference for its one-key sort."""
+    written, kept as the reference for each point's order of terms."""
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
     source = np.concatenate([pairs[:, 0], pairs[:, 1]])
     neighbors = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -422,10 +423,20 @@ def test_directed_pairs_match_the_lexsort_reference(dim, periodic, n, reach, gri
         points = points + rng.integers(-2, 3, points.shape) * periodic * box
 
     got = directed_pairs(points, delta, box, periodic)
+    # the search's pairs, first reversed, then as found
+    pairs, diff, dist = neighbor_pairs(points, delta, box, periodic)
+    p = len(pairs)
+    for half, (i, j, sign) in ((slice(0, p), (1, 0, -1.0)), (slice(p, None), (0, 1, 1.0))):
+        assert np.array_equal(got[0][half], pairs[:, i])
+        assert np.array_equal(got[1][half], pairs[:, j])
+        assert np.array_equal(got[2][half], sign * diff)
+        assert np.array_equal(got[3][half], dist)
+    # ordered by source alone, each point's terms are the lexsort's
+    order = np.argsort(got[0], kind="stable")
     want = lexsort_directed_pairs(points, delta, box, periodic)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
-        assert np.array_equal(g, w)
+        assert np.array_equal(g[order], w)
     assert got[0].dtype == np.int64 and got[2].shape == (got[0].size, dim)
     if reach == 1e-6 and not grid:
         assert got[0].size == 0  # the empty search keeps its shapes and dtypes

@@ -1,5 +1,6 @@
 """Preset builders and the config-to-objects bridge."""
 
+from fractions import Fraction
 import math
 import re
 
@@ -66,6 +67,28 @@ def test_plate_precrack_seeds_a_clean_crack():
     v_y = setup.state.v[:, 1]
     y = cloud.positions[:, 1]
     assert np.all(v_y[y > 0.5] > 0.0) and np.all(v_y[y < 0.5] < 0.0)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_plate_crack_cuts_every_bond_across_its_segment(n):
+    # an odd n puts a row of points on the seam y = 1/2, which counts as
+    # above it; each pair is decided by exact rational arithmetic
+    setup = build_plate_precrack(n=n, n_steps=1)
+    cloud, bonds = setup.cloud, setup.bonds
+    half, lo, hi = Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+    want = []
+    for i, j in zip(bonds.source.tolist(), bonds.neighbors.tolist()):
+        (xa, ya), (xb, yb) = ([Fraction(c) for c in cloud.positions[k]] for k in (i, j))
+        if (ya < half) == (yb < half):
+            want.append(False)
+            continue
+        x = xa + (half - ya) / (yb - ya) * (xb - xa)
+        want.append(lo <= x <= hi)
+    assert np.array_equal(bonds.mu == 0.0, np.array(want))
+    assert np.count_nonzero(want) > 0
+    v_y = setup.state.v[:, 1]
+    assert np.all(np.abs(v_y) == default_config("plate2d-precrack").get("scenario", "v0"))
+    assert np.all((v_y > 0.0) == (cloud.positions[:, 1] >= 0.5))
 
 
 def test_fluid_shear_setup():

@@ -5,12 +5,15 @@ Run from a checkout, with or without an installed peribond:
 
     python tools/output_digests.py > digests.txt
 
-It runs `run --preset bar1d-wave`, `run --preset plate2d-precrack` and
-`fluid-run --preset fluid-shear`, each with `[output] snapshot_every = 100`,
-into a temporary directory and prints one line per file written. Then it
-builds each perfbench workload at seed 7, integrates it, and prints one line
-each for the final u, v and every series column. Run it on two commits and
-diff the two listings: identical outputs print identical lines.
+It runs `run --preset bar1d-wave`, `run --preset plate2d-precrack`,
+`fluid-run --preset fluid-shear`, and `fluid-run --preset fluid-shear` once
+more with finite memory (`[memory] mode = finite`, `s = 0.04`, `[time]
+steps = 200`: a stride of 2 steps at dt 0.02, far inside the stable span),
+each with `[output] snapshot_every = 100`, into a temporary directory and
+prints one line per file written, under the run's label. Then it builds each
+perfbench workload at seed 7, integrates it, and prints one line each for the
+final u, v and every series column. Run it on two commits and diff the two
+listings: identical outputs print identical lines.
 """
 
 import contextlib
@@ -29,8 +32,12 @@ from peribond import outputs  # noqa: E402
 from peribond.cli import cli  # noqa: E402
 import workloads  # noqa: E402
 
-CLI_RUNS = (("run", "bar1d-wave"), ("run", "plate2d-precrack"),
-            ("fluid-run", "fluid-shear"))
+# (label, command, preset, config lines beyond the output section)
+CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
+            ("plate2d-precrack", "run", "plate2d-precrack", ""),
+            ("fluid-shear", "fluid-run", "fluid-shear", ""),
+            ("fluid-shear-finite", "fluid-run", "fluid-shear",
+             "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"))
 SEED = 7
 
 
@@ -44,18 +51,18 @@ def array_digest(a) -> str:
 
 
 def cli_lines(workdir):
-    for command, preset in CLI_RUNS:
-        outdir = os.path.join(workdir, preset)
-        config = os.path.join(workdir, f"{preset}.ini")
+    for label, command, preset, extra in CLI_RUNS:
+        outdir = os.path.join(workdir, label)
+        config = os.path.join(workdir, f"{label}.ini")
         with open(config, "w", encoding="utf-8") as fh:
-            fh.write(f"[output]\ndirectory = {outdir}\nsnapshot_every = 100\n")
+            fh.write(f"[output]\ndirectory = {outdir}\nsnapshot_every = 100\n{extra}")
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli([command, "--preset", preset, "-c", config])
         if status != 0:
             raise SystemExit(f"{command} --preset {preset} exited {status}")
         for name in sorted(os.listdir(outdir)):
             with open(os.path.join(outdir, name), "rb") as fh:
-                yield f"{preset}/{name} {digest(fh.read())}"
+                yield f"{label}/{name} {digest(fh.read())}"
 
 
 def workload_lines():
