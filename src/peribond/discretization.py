@@ -159,9 +159,13 @@ def build_grid(box, spacing, density, periodic=None) -> PointCloud:
         )
 
     counts = grid_counts(box, spacing)
-    positions = np.ascontiguousarray(
-        (np.indices(counts).reshape(dim, -1).T + 0.5) * spacing)
-    volumes = np.full(positions.shape[0], spacing**dim)
+    try:
+        positions = np.ascontiguousarray(
+            (np.indices(counts).reshape(dim, -1).T + 0.5) * spacing)
+        volumes = np.full(positions.shape[0], spacing**dim)
+    except MemoryError:
+        raise ConfigError(f"[domain] h: the {' x '.join(map(str, counts))} grid at "
+                          f"spacing {spacing} does not fit in memory") from None
     return PointCloud(
         positions=positions,
         volumes=volumes,
@@ -175,7 +179,8 @@ def build_grid(box, spacing, density, periodic=None) -> PointCloud:
 def grid_counts(box, spacing):
     """Cells per axis of a box tiled by cells of edge spacing, or a
     ConfigError naming the first axis whose edge is not an integer multiple
-    of the spacing (relative tolerance 1e-9)."""
+    of the spacing (relative tolerance 1e-9), or one for a grid whose
+    (points, dim) float array numpy cannot index."""
     counts = []
     for axis, edge in enumerate(box):
         ratio = edge / spacing
@@ -186,6 +191,9 @@ def grid_counts(box, spacing):
                 f"multiple of spacing {spacing}"
             )
         counts.append(n)
+    if math.prod(counts) * len(counts) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"spacing {spacing} gives more grid points than one "
+                          "array can index")
     return tuple(counts)
 
 
@@ -232,11 +240,13 @@ def neighbor_pairs(positions, delta, box, periodic):
     """All unordered pairs with minimum-image distance 0 <= d <= delta.
 
     Returns (pairs, diff, dist): pairs is (P, 2) int64 with i < j, diff is
-    the minimum-image separation positions[j] - positions[i]. Backed by a k-d
-    tree with toroidal topology on the periodic axes; results are re-filtered
-    on exact distances so the stored network depends only on this module's
-    arithmetic, in (i, j) order: sorted by the unique key i*N + j, so any
-    sort algorithm gives the same order.
+    the minimum-image separation positions[j] - positions[i]. Backed by an
+    unbalanced k-d tree (faster to build and query here than a balanced one)
+    with toroidal topology on the periodic axes; results are re-filtered on
+    exact distances so the stored network depends only on this module's
+    arithmetic, not on the tree's shape. The pairs come in (i, j) order: the
+    unique keys i*N + j are sorted, so any sort algorithm gives the same
+    order, and divided back into i and j in the tree's own pair array.
 
     The acceptance test carries a 1e-9 relative slack: on a lattice, pairs at
     exactly delta round a few ulps either way depending on where the points
@@ -252,10 +262,15 @@ def neighbor_pairs(positions, delta, box, periodic):
     wrapped = np.mod(positions, boxsize, out=positions.copy(), where=periodic)
     # a coordinate a hair below 0 wraps to L itself, which the tree refuses
     wrapped[wrapped == boxsize] = 0.0
-    tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None)
-    raw = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
-    raw = raw.astype(np.int64, copy=False)
-    pairs = np.take(raw, np.argsort(raw[:, 0] * n + raw[:, 1]), axis=0)
+    tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None,
+                   balanced_tree=False)
+    pairs = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
+    pairs = pairs.astype(np.int64, copy=False)
+    keys = pairs[:, 0] * n
+    keys += pairs[:, 1]
+    keys.sort()
+    # written back into the tree's own array: one (P, 2) array and one key column
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
     diff = minimum_image(np.take(positions, pairs[:, 1], axis=0)
                          - np.take(positions, pairs[:, 0], axis=0), box, periodic)
     dist = lengths(diff)
@@ -296,11 +311,13 @@ def directed_pairs(positions, delta, box, periodic, buffers=None):
     error. The zero-memory fluid force searches the current shape with it.
     The P pairs of neighbor_pairs are written twice, in their (i, j) order:
     rows 0 .. P - 1 reversed (source j, neighbor i, xi = -diff), then rows
-    P .. 2P - 1 as found (source i, neighbor j, xi = diff). So each point's
-    rows list its neighbors in ascending order, those below it first, as a
-    sort by (source, neighbor) would, and a per-point bincount adds the same
-    terms in the same order. xi is (M, dim) with one contiguous column per
-    axis.
+    P .. 2P - 1 as found (source i, neighbor j, xi = diff); dist is the same
+    in both halves. So each point's rows list its neighbors in ascending
+    order, those below it first, as a sort by (source, neighbor) would, and
+    a per-point bincount adds the same terms in the same order. A caller
+    whose per-row value is odd under xi -> -xi may evaluate rows P .. 2P - 1
+    alone and negate them for the reversed half, as fluid_force does. xi is
+    (M, dim) with one contiguous column per axis.
 
     The arrays are views into buffers, a PairBuffers of 2 int and dim + 1
     float columns (fresh ones when none are given), valid until its next

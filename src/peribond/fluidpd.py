@@ -150,6 +150,15 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     state.velocities. Every call searches the current shape
     (directed_pairs), also a second call at one shape.
 
+    Each unordered pair is evaluated once: rows P .. 2P - 1 of the directed
+    pairs hold the pairs as found (source i < neighbor j), and only they get
+    the velocity gathers, the unit vectors, the dot product and the
+    coefficient (or the bond model, which sees P rows). Rows 0 .. P - 1 hold
+    the same pairs reversed, with -xi and the same dist, so dv and n flip
+    sign, the dot product does not, and their force is the exact negative of
+    the forward rows'. The per-point bincounts then run over all 2P rows, in
+    the directed pairs' order, as a kernel call on every row would.
+
     workspace, a fluid_workspace of the cloud's dimension, holds the
     directed pairs and the per-pair columns; without one a fresh workspace
     serves the call. The result is a fresh (N, dim) array either way, never
@@ -162,36 +171,41 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     search, own = fluid_workspace(dim) if workspace is None else workspace
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
                                                  cloud.periodic, buffers=search)
+    p = dist.size // 2
+    lo, hi, xi, dist = source[p:], neighbors[p:], xi[p:], dist[p:]
     if not dist.all():
-        # the first zero lies in the reversed half, where neighbors holds the lower index
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
-            f"particles {int(neighbors[k])} and {int(source[k])} coincide "
+            f"particles {int(lo[k])} and {int(hi[k])} coincide "
             "in the deformed configuration"
         )
-    _, columns = own.reserve(dist.size)
-    scratch, weights, dot = columns[:3]
-    dv, f = columns[3:dim + 3], columns[dim + 3:]
+    _, columns = own.reserve(2 * p)
+    scratch, weights, dot = columns[0, :p], columns[1], columns[2, :p]
+    dv, f = columns[3:dim + 3, :p], columns[dim + 3:]
+    forward = f[:, p:]
     # indices come from the search, so mode "clip" only spares numpy a copy of out
     np.take(cloud.volumes, neighbors, out=weights, mode="clip")
-    if horizon.partial_volume == "linear" and dist.size:
-        weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
+    if horizon.partial_volume == "linear" and p:
+        taper = partial_volume_factor(dist, cloud.spacing, horizon.delta)
+        weights[:p] *= taper
+        weights[p:] *= taper
     for v_k, dv_k in zip(v.T, dv):
-        np.take(v_k, neighbors, out=dv_k, mode="clip")
-        np.take(v_k, source, out=scratch, mode="clip")
+        np.take(v_k, hi, out=dv_k, mode="clip")
+        np.take(v_k, lo, out=scratch, mode="clip")
         dv_k -= scratch
     if memory.fluid_kernel == "linear":
-        for xi_k, n_k in zip(xi.T, f):
+        for xi_k, n_k in zip(xi.T, forward):
             np.divide(xi_k, dist, out=n_k)   # n_k, scaled into f_k below
-        np.multiply(dv[0], f[0], out=dot)
-        for dv_k, n_k in zip(dv[1:], f[1:]):
+        np.multiply(dv[0], forward[0], out=dot)
+        for dv_k, n_k in zip(dv[1:], forward[1:]):
             dot += np.multiply(dv_k, n_k, out=scratch)
         dot *= memory.coefficient
-        f *= dot
+        forward *= dot
     else:
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
-        f = model.force(xi, memory.coefficient * dv.T).T
+        forward[...] = model.force(xi, memory.coefficient * dv.T).T
+    np.negative(forward, out=f[:, :p])
     f *= weights
     return np.column_stack([np.bincount(source, weights=f_k, minlength=cloud.n_points)
                             for f_k in f])

@@ -133,6 +133,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     "[kernel]\nfamily = quadratic\nalpha = 0\n",
     "[domain]\nh = 0.3\n",
     "[domain]\ndim = 2\nbox = 1.0, 1.0\nperiodic = true, true\n[horizon]\ndelta = 0.6\n",
+    "[domain]\nh = 1e-200\n",
 ])
 def test_print_config_refuses_what_run_refuses(tmp_path, capsys, text):
     cfg = write(tmp_path, "bad.cfg", text)

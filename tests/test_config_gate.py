@@ -9,6 +9,7 @@ materialize and model_from_config raised when these rules lived there.
 import ast
 import inspect
 
+import numpy as np
 import pytest
 
 from peribond import config, scenarios
@@ -60,6 +61,8 @@ REFUSED = [
               ("domain", "periodic"): (True, True), ("horizon", "delta"): 0.6},
      "[horizon] delta: horizon delta 0.6 exceeds half the periodic box edge 1.0 on "
      "axis 0 (minimum image invalid)"),
+    ("none", {("domain", "h"): 1e-200},
+     "[domain] h: spacing 1e-200 gives more grid points than one array can index"),
 ]
 
 
@@ -134,3 +137,16 @@ def test_config_imports_nothing_from_scenarios():
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]
     assert imported and not any("scenarios" in name for name in imported)
+
+
+def test_a_grid_that_cannot_be_allocated_is_refused_naming_the_spacing(monkeypatch):
+    # numpy's MemoryError stands in for a grid too large for this machine
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(np, "indices", out_of_memory)
+    cfg = default_config()
+    cfg.set("domain", "h", 0.25)
+    assert refusal(scenarios.materialize, cfg) == (
+        "[domain] h: the 4 grid at spacing 0.25 does not fit in memory")
+    assert refusal(scenarios.build_grid, (1.0, 2.0), 0.25, 1.0) == (
+        "[domain] h: the 4 x 8 grid at spacing 0.25 does not fit in memory")

@@ -1,7 +1,9 @@
 """Memory modes: ring buffer, rediscovered horizons, and the fluid limit."""
 
+import dataclasses
 import math
 
+from hypothesis import given, settings
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from peribond import (
     step_verlet,
     zero_state,
 )
+from peribond import fluidpd
+from peribond.discretization import directed_pairs
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
 from peribond.fluidpd import FluidState, MemoryForce, fluid_state
 from peribond.kernels import Convolution, MicroModulus, PMB
+from test_column_arithmetic import broadcast_fluid_force, fluid_cases
 
 
 def test_memory_config_validation():
@@ -141,6 +146,54 @@ def test_fluid_force_kernel_mode():
     f = fluid_force(cloud, fs, memory, horizon, model=model)
     # bond 0 -> 1: xi = 1, scaled dv = 2, q_vec = 3: f = q^2 q_vec = 27
     assert np.allclose(f, [[27.0], [-27.0]])
+
+
+class CountingModel:
+    """A bond model that records how many rows each force call gets."""
+
+    def __init__(self, model):
+        self.model, self.rows = model, []
+
+    def force(self, xi, eta, mu=None):
+        self.rows.append(len(xi))
+        return self.model.force(xi, eta, mu)
+
+
+@settings(max_examples=60)
+@given(case=fluid_cases())
+def test_the_kernel_sees_each_unordered_pair_once(case):
+    # the broadcast oracle calls the kernel on all M directed rows; fluid_force
+    # calls it on the M/2 pairs as found and negates them for the reversed rows
+    cloud, state, memory, horizon, model = case
+    memory = dataclasses.replace(memory, fluid_kernel="kernel")
+    want = broadcast_fluid_force(cloud, state, memory, horizon, model)
+    counting = CountingModel(model)
+    got = fluid_force(cloud, state, memory, horizon, model=counting)
+    m = directed_pairs(state.positions, horizon.delta, cloud.box, cloud.periodic)[0].size
+    assert counting.rows == [m // 2]
+    assert np.array_equal(got, want)
+
+
+def test_a_kernel_fluid_run_searches_twice_and_evaluates_half_the_rows_per_step(monkeypatch):
+    # directed_pairs wrapped where fluidpd looks it up, as the benchmark's
+    # tracing does: each step searches its incoming and its outgoing shape
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, True))
+    horizon = HorizonConfig(0.375)
+    memory = MemoryConfig(mode="zero", coefficient=0.5, fluid_kernel="kernel")
+    counting = CountingModel(PMB(micro=MicroModulus("cylindrical", 1.0, horizon.delta)))
+    searched = []
+
+    def counted(*args, **kwargs):
+        found = directed_pairs(*args, **kwargs)
+        searched.append(found[0].size)
+        return found
+    monkeypatch.setattr(fluidpd, "directed_pairs", counted)
+    state = zero_state(cloud)
+    state.v[:, 0] = np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    n_steps = 6
+    run_fluid(cloud, horizon, counting, memory, state, 0.01, n_steps)
+    assert len(searched) == 2 * n_steps
+    assert counting.rows == [m // 2 for m in searched] and min(searched) > 0
 
 
 def test_coincident_particles_rejected():

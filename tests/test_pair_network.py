@@ -387,6 +387,65 @@ def test_exact_refilter_drops_what_the_tree_lets_through():
     assert np.array_equal(got_diff, want_diff)
 
 
+def argsort_neighbor_pairs(positions, delta, box, periodic):
+    """neighbor_pairs as first written: a balanced k-d tree, its pairs put in
+    (i, j) order by an argsort of the key i*N + j and a take of the pairs."""
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    periodic = np.asarray(periodic, dtype=bool)
+    boxsize = np.where(periodic, box, 0.0)
+    wrapped = np.mod(positions, boxsize, out=positions.copy(), where=periodic)
+    wrapped[wrapped == boxsize] = 0.0
+    tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None)
+    raw = tree.query_pairs(delta * SLACK + 1e-300, output_type="ndarray")
+    raw = raw.astype(np.int64, copy=False)
+    pairs = np.take(raw, np.argsort(raw[:, 0] * n + raw[:, 1]), axis=0)
+    diff = np.take(positions, pairs[:, 1], axis=0) - np.take(positions, pairs[:, 0], axis=0)
+    for axis in np.flatnonzero(periodic):
+        diff[:, axis] -= box[axis] * np.round(diff[:, axis] / box[axis])
+    dist = kernels.lengths(diff)
+    keep = dist <= delta * SLACK
+    return pairs[keep], diff[keep], dist[keep]
+
+
+@settings(max_examples=200)
+@example(dim=1, periodic=[False, False, False], counts=[1, 1, 1], reach=1.0, jitter=0.0,
+         coincide=0, shift=False, seed=0)
+@example(dim=2, periodic=[True, False, False], counts=[6, 3, 1], reach=0.4, jitter=0.0,
+         coincide=0, shift=False, seed=0)
+@given(dim=st.integers(1, 3), periodic=st.lists(st.booleans(), min_size=3, max_size=3),
+       counts=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+       reach=st.sampled_from([0.4, 1.0, 1.5, 2.2]), jitter=st.sampled_from([0.0, 0.3]),
+       coincide=st.integers(0, 4), shift=st.booleans(), seed=st.integers(0, 2**16))
+def test_neighbor_pairs_match_the_argsort_search_bitwise(dim, periodic, counts, reach,
+                                                         jitter, coincide, shift, seed):
+    # a lattice of spacing h, jittered or exact (pairs on delta), in shuffled
+    # order, with some points moved onto others and, on periodic axes, off
+    # the box by whole periods; reach 0.4 on an exact lattice finds nothing
+    # but the coincident pairs
+    h = 0.1
+    periodic = np.array(periodic[:dim])
+    delta = reach * h
+    # a periodic axis spans more than two horizons (minimum image)
+    counts = [max(c, 2 * math.ceil(reach) + 1) if p else c
+              for c, p in zip(counts[:dim], periodic)]
+    cloud = build_grid(tuple(h * c for c in counts), h, 1.0, periodic=periodic)
+    rng = np.random.default_rng(seed)
+    points = cloud.positions + jitter * h * rng.uniform(-1.0, 1.0, cloud.positions.shape)
+    points = points[rng.permutation(len(points))]
+    if coincide and len(points) > 1:
+        points[rng.integers(len(points), size=coincide)] = points[rng.integers(len(points))]
+    if shift:
+        points = points + rng.integers(-1, 2, points.shape) * periodic * cloud.box
+    got = neighbor_pairs(points, delta, cloud.box, periodic)
+    want = argsort_neighbor_pairs(points, delta, cloud.box, periodic)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    if reach == 0.4 and jitter == 0.0 and not coincide:
+        assert got[0].shape == (0, 2)
+
+
 def lexsort_directed_pairs(positions, delta, box, periodic):
     """Both directions of every pair from neighbor_pairs, ordered by a
     two-key lexsort on (source, neighbor): the directed search as first

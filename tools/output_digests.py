@@ -6,14 +6,16 @@ Run from a checkout, with or without an installed peribond:
     python tools/output_digests.py > digests.txt
 
 It runs `run --preset bar1d-wave`, `run --preset plate2d-precrack`,
-`fluid-run --preset fluid-shear`, and `fluid-run --preset fluid-shear` once
+`fluid-run --preset fluid-shear`, `fluid-run --preset fluid-shear` once
 more with finite memory (`[memory] mode = finite`, `s = 0.04`, `[time]
 steps = 200`: a stride of 2 steps at dt 0.02, far inside the stable span),
-each with `[output] snapshot_every = 100`, into a temporary directory and
-prints one line per file written, under the run's label. Then it builds each
-perfbench workload at seed 7, integrates it, and prints one line each for the
-final u, v and every series column. Run it on two commits and diff the two
-listings: identical outputs print identical lines.
+and once more with the bond model as the zero-memory kernel (`[memory]
+fluid_kernel = kernel`), each with `[output] snapshot_every = 100`, into a
+temporary directory and prints one line per file written, under the run's
+label. Then it builds each perfbench workload at seed 7, integrates it, and
+prints one line each for the final u, v and every series column. Run it on
+two commits and diff the two listings: identical outputs print identical
+lines.
 """
 
 import contextlib
@@ -37,7 +39,9 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
             ("plate2d-precrack", "run", "plate2d-precrack", ""),
             ("fluid-shear", "fluid-run", "fluid-shear", ""),
             ("fluid-shear-finite", "fluid-run", "fluid-shear",
-             "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"))
+             "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"),
+            ("fluid-shear-kernel", "fluid-run", "fluid-shear",
+             "[memory]\nfluid_kernel = kernel\n"))
 SEED = 7
 
 
