@@ -288,7 +288,8 @@ class PairBuffers:
     (int_columns, m) and a (float_columns, m) view with contiguous rows. It
     reallocates only when m exceeds the capacity, and then to a quarter more
     than m, so a steady pair count allocates nothing. Earlier views keep
-    their memory, but the next user of the buffers overwrites it.
+    their memory, but the next user of the buffers overwrites it. A reserve
+    within the capacity reallocates nothing, so a search and a force share one.
     """
 
     def __init__(self, int_columns, float_columns):
@@ -309,32 +310,26 @@ def directed_pairs(positions, delta, box, periodic, buffers=None):
     Returns (source, neighbors, xi, dist) for bonds with 0 <= d <= delta,
     coincident pairs included — callers decide whether coincidence is an
     error. The zero-memory fluid force searches the current shape with it.
-    The P pairs of neighbor_pairs are written twice, in their (i, j) order:
-    rows 0 .. P - 1 reversed (source j, neighbor i, xi = -diff), then rows
-    P .. 2P - 1 as found (source i, neighbor j, xi = diff); dist is the same
-    in both halves. So each point's rows list its neighbors in ascending
-    order, those below it first, as a sort by (source, neighbor) would, and
-    a per-point bincount adds the same terms in the same order. A caller
-    whose per-row value is odd under xi -> -xi may evaluate rows P .. 2P - 1
-    alone and negate them for the reversed half, as fluid_force does. xi is
-    (M, dim) with one contiguous column per axis.
-
-    The arrays are views into buffers, a PairBuffers of 2 int and dim + 1
-    float columns (fresh ones when none are given), valid until its next
-    reserve: source and neighbors are int columns 0 and 1, xi float columns
-    0 to dim - 1 and dist float column dim.
+    source and neighbors hold the P pairs of neighbor_pairs twice, in their
+    (i, j) order: rows 0 .. P - 1 reversed (source j, neighbor i), then rows
+    P .. 2P - 1 as found (source i, neighbor j). So each point's rows list
+    its neighbors in ascending order, those below it first, as a sort by
+    (source, neighbor) would, and a per-point bincount adds the same terms
+    in the same order. xi ((P, dim), row-major) and dist are the search's
+    own diff and dist, one row per pair as found: row k is directed row
+    P + k, and directed row k has -xi[k] and dist[k]. A caller whose per-row
+    value is odd under xi -> -xi evaluates the P pairs and negates them for
+    the reversed half, as fluid_force does. source and neighbors are int
+    columns 0 and 1 of buffers, a PairBuffers with 2 int columns (fresh ones
+    when none are given), valid until its next use.
     """
     pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
-    p, dim = diff.shape
-    (source, neighbors), floats = (
-        PairBuffers(2, dim + 1) if buffers is None else buffers).reserve(2 * p)
+    p = dist.size
+    (source, neighbors), _ = (
+        PairBuffers(2, 0) if buffers is None else buffers).reserve(2 * p)
     source[:p], source[p:] = pairs[:, 1], pairs[:, 0]
     neighbors[:p], neighbors[p:] = pairs[:, 0], pairs[:, 1]
-    for diff_k, xi_k in zip(diff.T, floats):
-        np.negative(diff_k, out=xi_k[:p])
-        xi_k[p:] = diff_k
-    floats[dim, :p], floats[dim, p:] = dist, dist
-    return source, neighbors, floats[:dim].T, floats[dim]
+    return source, neighbors, diff, dist
 
 
 def _scatter_operator(source, neighbors, weights, reverse_weights, n_points):

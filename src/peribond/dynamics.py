@@ -110,13 +110,19 @@ def internal_force(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) 
     try:
         f = model.force(bonds.xi, eta, bonds.mu)
     except SingularConfigurationError:
-        q = lengths(bonds.xi + eta)
-        rows = np.flatnonzero(q == 0.0)[:8]
-        pairs = [(int(bonds.source[k]), int(bonds.neighbors[k])) for k in rows]
-        raise SingularConfigurationError(
-            f"{model.family}: coincident deformed points on bond(s) {pairs}"
-        ) from None
+        raise coincident_bonds(model.family, bonds.xi + eta, bonds.source,
+                               bonds.neighbors) from None
     return bonds.scatter @ f
+
+
+def coincident_bonds(family, z, source, neighbors):
+    """The error of a kernel call on deformed bonds z, some of zero length,
+    whose rows join points source < neighbors: it names up to eight such
+    point pairs (i, j), not the rows the kernel saw."""
+    rows = np.flatnonzero(lengths(z) == 0.0)[:8]
+    pairs = [(int(source[k]), int(neighbors[k])) for k in rows]
+    return SingularConfigurationError(
+        f"{family}: coincident deformed points on bond(s) {pairs}")
 
 
 def stable_dt(cloud: PointCloud, bonds: BondNetwork, model, safety: float = 0.5) -> float:

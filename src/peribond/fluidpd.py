@@ -135,9 +135,9 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
 
 def fluid_workspace(dim):
     """The per-pair buffers of fluid_force in dim dimensions: its search's
-    (directed_pairs: source, neighbors, the xi columns and dist), and its
-    own scratch, weights, dot and the dv and f columns of every axis."""
-    return PairBuffers(2, dim + 1), PairBuffers(0, 2 * dim + 3)
+    source and neighbors (directed_pairs), and its own scratch, weights,
+    dot and the dv and f columns of every axis, in the same 2P entries."""
+    return PairBuffers(2, 2 * dim + 3)
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
@@ -150,36 +150,36 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     state.velocities. Every call searches the current shape
     (directed_pairs), also a second call at one shape.
 
-    Each unordered pair is evaluated once: rows P .. 2P - 1 of the directed
-    pairs hold the pairs as found (source i < neighbor j), and only they get
-    the velocity gathers, the unit vectors, the dot product and the
-    coefficient (or the bond model, which sees P rows). Rows 0 .. P - 1 hold
-    the same pairs reversed, with -xi and the same dist, so dv and n flip
-    sign, the dot product does not, and their force is the exact negative of
-    the forward rows'. The per-point bincounts then run over all 2P rows, in
-    the directed pairs' order, as a kernel call on every row would.
+    Each unordered pair is evaluated once: the search's xi and dist hold the
+    P pairs as found (source i < neighbor j: directed rows P .. 2P - 1), and
+    only they get the velocity gathers, the unit vectors, the dot product and
+    the coefficient (or the bond model, which sees P rows). Rows 0 .. P - 1
+    hold the same pairs reversed, so dv and n flip sign, the dot product
+    does not, and their force is the exact negative of the forward rows'.
+    The per-point bincounts then run over all 2P rows, in the directed
+    pairs' order, as a kernel call on every row would.
 
-    workspace, a fluid_workspace of the cloud's dimension, holds the
-    directed pairs and the per-pair columns; without one a fresh workspace
-    serves the call. The result is a fresh (N, dim) array either way, never
-    a view into the workspace, which the next call overwrites. Pair vectors
-    are handled one contiguous column per axis; the dot product is a running
-    column sum, the same additions in the same order as np.sum(dv * n, axis=1).
+    workspace, a fluid_workspace of the cloud's dimension, holds the search's
+    index columns and the per-pair float columns; without one a fresh
+    workspace serves the call. The result is a fresh (N, dim) array either
+    way, never a view into the workspace. Pair vectors are handled one column
+    per axis; the dot product is a running column sum, the same additions in
+    the same order as np.sum(dv * n, axis=1).
     """
     v = state.velocities if velocities is None else velocities
     dim = v.shape[1]
-    search, own = fluid_workspace(dim) if workspace is None else workspace
+    workspace = fluid_workspace(dim) if workspace is None else workspace
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
-                                                 cloud.periodic, buffers=search)
-    p = dist.size // 2
-    lo, hi, xi, dist = source[p:], neighbors[p:], xi[p:], dist[p:]
+                                                 cloud.periodic, buffers=workspace)
+    p = dist.size
+    lo, hi = source[p:], neighbors[p:]
     if not dist.all():
         k = int(np.flatnonzero(dist == 0.0)[0])
         raise SingularConfigurationError(
             f"particles {int(lo[k])} and {int(hi[k])} coincide "
             "in the deformed configuration"
         )
-    _, columns = own.reserve(2 * p)
+    _, columns = workspace.reserve(2 * p)
     scratch, weights, dot = columns[0, :p], columns[1], columns[2, :p]
     dv, f = columns[3:dim + 3, :p], columns[dim + 3:]
     forward = f[:, p:]
@@ -204,7 +204,11 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     else:
         if model is None:
             raise ConfigError("fluid_kernel 'kernel' requires a bond model")
-        forward[...] = model.force(xi, memory.coefficient * dv.T).T
+        eta = memory.coefficient * dv.T
+        try:
+            forward[...] = model.force(xi, eta).T
+        except SingularConfigurationError:
+            raise dynamics.coincident_bonds(model.family, xi + eta, lo, hi) from None
     np.negative(forward, out=f[:, :p])
     f *= weights
     return np.column_stack([np.bincount(source, weights=f_k, minlength=cloud.n_points)
@@ -224,8 +228,8 @@ class MemoryForce:
     at the start of the next. (A search reused within the step waits on the
     benchmark's tracing, which counts both searches.)
     Zero memory keeps one fluid_workspace for the operator's lifetime: its
-    force calls refill the directed pair arrays (source, neighbors, xi,
-    dist) and the force columns instead of allocating them per call.
+    force calls refill the directed pairs' index columns (source,
+    neighbors) and the force columns instead of allocating them per call.
     """
 
     def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,

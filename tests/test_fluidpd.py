@@ -23,7 +23,7 @@ from peribond import fluidpd
 from peribond.discretization import directed_pairs
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
 from peribond.fluidpd import FluidState, MemoryForce, fluid_state
-from peribond.kernels import Convolution, MicroModulus, PMB
+from peribond.kernels import Convolution, MicroModulus, PMB, default_models
 from test_column_arithmetic import broadcast_fluid_force, fluid_cases
 
 
@@ -204,6 +204,53 @@ def test_coincident_particles_rejected():
     with pytest.raises(SingularConfigurationError, match="coincide"):
         fluid_force(cloud, fs, MemoryConfig(mode="zero", coefficient=1.0),
                     HorizonConfig(0.6))
+
+
+@pytest.mark.parametrize("family", ["anti-plane-shear", "pmb"])
+def test_a_kernel_fluid_names_the_particles_of_a_zero_deformed_length(family):
+    # 4 points on a free line; pair (1, 2) has xi = 0.25 and coefficient * dv
+    # = 0.25 * (-1): the kernel's deformed length is zero on that pair alone
+    cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
+    state = zero_state(cloud)
+    state.v[2] = -1.0
+    model = default_models(delta=0.3, dim=1)[family]
+    memory = MemoryConfig(mode="zero", coefficient=0.25, fluid_kernel="kernel")
+    with pytest.raises(SingularConfigurationError) as caught:
+        fluid_force(cloud, fluid_state(cloud, state), memory, HorizonConfig(0.3), model=model)
+    assert str(caught.value) == f"{family}: coincident deformed points on bond(s) [(1, 2)]"
+
+
+def test_the_search_and_the_force_share_one_workspace(monkeypatch):
+    # directed_pairs fills the workspace's index columns and the force
+    # reserves the same entries for its float columns: after the call the
+    # index columns the search wrote are still the workspace's, also on a
+    # fresh workspace (the search's reserve grew it, the force's did not)
+    # and after a smaller second search, whose force is a fresh workspace's
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, False))
+    horizon, memory = HorizonConfig(0.25), MemoryConfig(mode="zero", coefficient=0.5)
+    rng = np.random.default_rng(3)
+    searched = []
+
+    def kept(*args, **kwargs):
+        found = directed_pairs(*args, **kwargs)
+        searched.append(found[:2])
+        return found
+    monkeypatch.setattr(fluidpd, "directed_pairs", kept)
+    workspace, sizes = fluidpd.fluid_workspace(cloud.dim), []
+    for scale in (1.0, 1.5):
+        state = zero_state(cloud)
+        state.u[:] = (scale - 1.0) * cloud.positions
+        state.v[:] = rng.standard_normal(state.v.shape)
+        fs = fluid_state(cloud, state)
+        got = fluid_force(cloud, fs, memory, horizon, workspace=workspace)
+        source, neighbors = searched[-1]
+        ints, floats = workspace.reserve(source.size)
+        assert np.shares_memory(source, ints) and np.shares_memory(neighbors, ints)
+        assert np.array_equal(ints, np.stack([source, neighbors]))
+        assert not np.shares_memory(got, floats)
+        assert np.array_equal(got, fluid_force(cloud, fs, memory, horizon))
+        sizes.append(source.size)
+    assert 0 < sizes[1] < sizes[0]
 
 
 def test_run_fluid_refuses_infinite_memory():

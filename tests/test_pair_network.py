@@ -2,7 +2,7 @@
 
 The network stores each unordered bond pair once and scatters its force onto
 both ends. The oracle below uses directed bonds instead: every pair in both
-directions from discretization.directed_pairs, each bond weighted by its
+directions from lexsort_directed_pairs below, each bond weighted by its
 neighbor's volume, the kernel called on every directed bond and the results
 summed per source point. The network's sparse scatter operator is checked
 against the bincount scatter and, whole and row-sliced, against an
@@ -53,8 +53,8 @@ def rel_err(got, want):
 def directed_reference(cloud, horizon, model, u, mu_of):
     """Force, potential, stable step and damage over directed bonds."""
     n, dim = cloud.n_points, cloud.dim
-    source, neighbors, xi, dist = directed_pairs(cloud.positions, horizon.delta,
-                                                 cloud.box, cloud.periodic)
+    source, neighbors, xi, dist = lexsort_directed_pairs(cloud.positions, horizon.delta,
+                                                         cloud.box, cloud.periodic)
     weights = cloud.volumes[neighbors].copy()
     if horizon.partial_volume == "linear":
         weights *= partial_volume_factor(dist, cloud.spacing, horizon.delta)
@@ -481,21 +481,24 @@ def test_directed_pairs_match_the_lexsort_reference(dim, periodic, n, reach, gri
     if off_box:
         points = points + rng.integers(-2, 3, points.shape) * periodic * box
 
-    got = directed_pairs(points, delta, box, periodic)
-    # the search's pairs, first reversed, then as found
-    pairs, diff, dist = neighbor_pairs(points, delta, box, periodic)
+    source, neighbors, xi, dist = directed_pairs(points, delta, box, periodic)
+    # the search's pairs, first reversed, then as found; the geometry is
+    # the search's own, one row per pair as found
+    pairs, diff, found = neighbor_pairs(points, delta, box, periodic)
     p = len(pairs)
-    for half, (i, j, sign) in ((slice(0, p), (1, 0, -1.0)), (slice(p, None), (0, 1, 1.0))):
-        assert np.array_equal(got[0][half], pairs[:, i])
-        assert np.array_equal(got[1][half], pairs[:, j])
-        assert np.array_equal(got[2][half], sign * diff)
-        assert np.array_equal(got[3][half], dist)
+    for half, (i, j) in ((slice(0, p), (1, 0)), (slice(p, None), (0, 1))):
+        assert np.array_equal(source[half], pairs[:, i])
+        assert np.array_equal(neighbors[half], pairs[:, j])
+    for g, w in ((xi, diff), (dist, found)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
     # ordered by source alone, each point's terms are the lexsort's
-    order = np.argsort(got[0], kind="stable")
+    order = np.argsort(source, kind="stable")
+    got = (source, neighbors, np.concatenate([-xi, xi]), np.concatenate([dist, dist]))
     want = lexsort_directed_pairs(points, delta, box, periodic)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g[order], w)
-    assert got[0].dtype == np.int64 and got[2].shape == (got[0].size, dim)
+    assert source.dtype == np.int64 and xi.shape == (source.size // 2, dim)
     if reach == 1e-6 and not grid:
-        assert got[0].size == 0  # the empty search keeps its shapes and dtypes
+        assert source.size == 0  # the empty search keeps its shapes and dtypes

@@ -9,10 +9,11 @@ It runs `run --preset bar1d-wave`, `run --preset plate2d-precrack`,
 `fluid-run --preset fluid-shear`, `fluid-run --preset fluid-shear` once
 more with finite memory (`[memory] mode = finite`, `s = 0.04`, `[time]
 steps = 200`: a stride of 2 steps at dt 0.02, far inside the stable span),
-and once more with the bond model as the zero-memory kernel (`[memory]
-fluid_kernel = kernel`), each with `[output] snapshot_every = 100`, into a
-temporary directory and prints one line per file written, under the run's
-label. Then it builds each perfbench workload at seed 7, integrates it, and
+once more with the bond model as the zero-memory kernel (`[memory]
+fluid_kernel = kernel`), and once more in 3D (`dim = 3`, a periodic unit
+cube, `h = 0.125`, `delta = 0.375`, 40 steps), each with `[output]
+snapshot_every = 100`, into a temporary directory and prints one line per
+file written, under the run's label. Then it builds each perfbench workload at seed 7, integrates it, and
 prints one line each for the final u, v and every series column. Run it on
 two commits and diff the two listings: identical outputs print identical
 lines.
@@ -41,7 +42,10 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
             ("fluid-shear-finite", "fluid-run", "fluid-shear",
              "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"),
             ("fluid-shear-kernel", "fluid-run", "fluid-shear",
-             "[memory]\nfluid_kernel = kernel\n"))
+             "[memory]\nfluid_kernel = kernel\n"),
+            ("fluid-shear-3d", "fluid-run", "fluid-shear",
+             "[domain]\ndim = 3\nbox = 1, 1, 1\nperiodic = true, true, true\n"
+             "h = 0.125\n[horizon]\ndelta = 0.375\n[time]\nsteps = 40\n"))
 SEED = 7
 
 
