@@ -221,18 +221,23 @@ def partial_volume_factor(r, spacing, delta):
         raise ConfigError(f"delta must be positive, got {delta}")
     if np.any(r <= 0.0):
         raise ConfigError("partial volume factor requires positive distances")
-    taper = (delta + 0.5 * spacing - r) / spacing
-    factor = np.clip(taper, 0.0, 1.0)
+    factor = np.subtract(delta + 0.5 * spacing, r, out=np.empty_like(r))  # the one array
+    factor /= spacing
+    np.clip(factor, 0.0, 1.0, out=factor)
     return factor if factor.ndim else float(factor)
 
 
 def minimum_image(diff, box, periodic):
     """Wrap separation vectors, a float array of shape (..., dim), into the
-    closest periodic image in place, and return that same array."""
+    closest periodic image in place, and return that same array. Each
+    periodic column is wrapped through one scratch column."""
+    scratch = np.empty(diff.shape[:-1]) if np.any(periodic) else None
     for axis in range(diff.shape[-1]):
         if periodic[axis]:
-            length = box[axis]
-            diff[..., axis] -= length * np.round(diff[..., axis] / length)
+            column, length = diff[..., axis], box[axis]
+            np.rint(np.divide(column, length, out=scratch), out=scratch)
+            scratch *= length
+            column -= scratch
     return diff
 
 
@@ -245,8 +250,10 @@ def neighbor_pairs(positions, delta, box, periodic):
     with toroidal topology on the periodic axes; results are re-filtered on
     exact distances so the stored network depends only on this module's
     arithmetic, not on the tree's shape. The pairs come in (i, j) order: the
-    unique keys i*N + j are sorted, so any sort algorithm gives the same
-    order, and divided back into i and j in the tree's own pair array.
+    unique keys (i << b) | j, with b = (N - 1).bit_length(), are sorted, so
+    any sort algorithm gives the same order, and unpacked back into i and j
+    in the tree's own pair array. Past 2^31 points a key would need more
+    than 63 bits, and a ValueError naming the point count is raised.
 
     The acceptance test carries a 1e-9 relative slack: on a lattice, pairs at
     exactly delta round a few ulps either way depending on where the points
@@ -256,23 +263,32 @@ def neighbor_pairs(positions, delta, box, periodic):
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
+    bits = (n - 1).bit_length()
+    if 2 * bits > 63:
+        raise ValueError(f"neighbor_pairs: {n} points need {2 * bits}-bit pair keys, "
+                         "past the 63 bits of an int64")
     periodic = np.asarray(periodic, dtype=bool)
     check_minimum_image(delta, box, periodic)
     boxsize = np.where(periodic, box, 0.0)
-    wrapped = np.mod(positions, boxsize, out=positions.copy(), where=periodic)
-    # a coordinate a hair below 0 wraps to L itself, which the tree refuses
-    wrapped[wrapped == boxsize] = 0.0
+    wrapped = positions.copy()
+    for axis in np.flatnonzero(periodic):
+        column = wrapped[:, axis]
+        np.mod(column, boxsize[axis], out=column)
+        # a coordinate a hair below 0 wraps to L itself, which the tree refuses
+        column[column == boxsize[axis]] = 0.0
     tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None,
                    balanced_tree=False)
     pairs = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
     pairs = pairs.astype(np.int64, copy=False)
-    keys = pairs[:, 0] * n
-    keys += pairs[:, 1]
+    keys = pairs[:, 0] << bits
+    keys |= pairs[:, 1]
     keys.sort()
-    # written back into the tree's own array: one (P, 2) array and one key column
-    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    diff = minimum_image(np.take(positions, pairs[:, 1], axis=0)
-                         - np.take(positions, pairs[:, 0], axis=0), box, periodic)
+    # unpacked into the tree's own array: one (P, 2) array and one key column
+    np.right_shift(keys, bits, out=pairs[:, 0])
+    np.bitwise_and(keys, (1 << bits) - 1, out=pairs[:, 1])
+    diff = np.take(positions, pairs[:, 1], axis=0)
+    diff -= np.take(positions, pairs[:, 0], axis=0)
+    minimum_image(diff, box, periodic)
     dist = lengths(diff)
     keep = dist <= delta * (1.0 + 1e-9)
     if keep.all():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .discretization import BondNetwork, PointCloud
 from .errors import ConfigError, SimulationError, SingularConfigurationError
-from .kernels import lengths, stretch_of, update_breaker
+from .kernels import in_support, lengths, stretch_of, update_breaker
 
 LOAD_PRESETS = ("none", "constant", "sinusoidal-in-x", "opposing-last-axis")
 
@@ -128,10 +128,10 @@ def coincident_bonds(family, z, source, neighbors):
 def stable_dt(cloud: PointCloud, bonds: BondNetwork, model, safety: float = 0.5) -> float:
     """Conservative stable step from the linearized bond stiffnesses.
 
-    dt = safety * sqrt(2 rho / max_i sum_j weight_ij C_ij) with C_ij the
-    undeformed bond stiffness magnitude of the kernel.
+    dt = safety * sqrt(2 rho / max_i sum_j weight_ij |C_ij|) with C_ij the
+    kernel's signed undeformed bond stiffness d|f|/dq.
     """
-    c = model.stiffness0(bonds.xi_norm)
+    c = np.abs(model.stiffness0(bonds.xi_norm))
     s = bonds.per_point(bonds.weights * c, bonds.reverse_weights * c)
     smax = float(np.max(s)) if s.size else 0.0
     if not smax > 0.0:
@@ -150,25 +150,55 @@ class NetworkForce:
     velocity and cannot be carried (here: updates the breaker and, when
     bonds changed, refreshes force in place).
 
-    The model is bound to the network once, here. settle takes the
-    deformed lengths and pair forces of the step's own kernel call from the
-    bound model: the stretch comes from those lengths, with no second
-    gather, and a break re-evaluates only the changed pairs and re-sums only
-    the rows of their end points, sliced from the network's CSR operator.
-    Both are bitwise what a fresh evaluation gives. Neither array outlives
-    settle.
+    The operator asks the model only for its scalars _coef and _phi; it
+    forms k = _radial(|xi|) and the support mask (None when every bond lies
+    inside) once, refusing a zero |xi|. force keeps its pass's deformed
+    lengths and pair forces until settle takes them: the stretch comes from
+    those lengths, with no second gather, and a break re-evaluates only the
+    changed pairs and re-sums only the rows of their end points, sliced from
+    the network's CSR operator. Both are bitwise what a fresh evaluation
+    gives.
     """
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
-        self.cloud, self.bonds, self.model = cloud, bonds, model.bind(bonds)
+        r = bonds.xi_norm
+        if np.any(r == 0.0):
+            raise ValueError(f"{model.family}: zero reference separation in bond array")
+        inside = in_support(r, model.support_radius)
+        self.cloud, self.bonds, self.model = cloud, bonds, model
+        self.k, self.inside = model._radial(r), (None if inside.all() else inside)
+        self._pass = None  # (q, f) of the last force call, until settle
+
+    def _pairs(self, u, kernel, rows=slice(None)):
+        """z = xi + eta, q = |z| and the gated kernel(q, r, k, mu) of the
+        pairs in rows (all of them by default) at displacement u."""
+        bonds, k, inside = self.bonds, self.k, self.inside
+        source, neighbors = bonds.source[rows], bonds.neighbors[rows]
+        z = bonds.xi[rows] + (np.take(u, neighbors, axis=0) - np.take(u, source, axis=0))
+        q = lengths(z)
+        if self.model.needs_direction and not q.all():
+            raise coincident_bonds(self.model.family, z, source, neighbors)
+        values = kernel(q, bonds.xi_norm[rows], None if k is None else k[rows], bonds.mu[rows])
+        if inside is not None:
+            values = np.where(inside[rows], values, 0.0)
+        return z, q, values
+
+    def _forces(self, u, rows=slice(None)):
+        """Deformed lengths and pair forces of the pairs in rows."""
+        z, q, coef = self._pairs(u, self.model._coef, rows)
+        for z_k in z.T:
+            z_k *= coef
+        return q, z
 
     def force(self, state, v):
-        self.model.take_pair_state()  # free the last call's pair arrays before the gathers
-        return internal_force(self.cloud, self.bonds, self.model, state.u)
+        self._pass = None  # free the last call's pair arrays before the gathers
+        self._pass = self._forces(state.u)
+        return self.bonds.scatter @ self._pass[1]
 
     def potential(self, state):
-        return potential_energy(self.cloud, self.bonds, self.model, state.u)
+        _, _, phi = self._pairs(state.u, self.model._phi)
+        return _pair_energy(self.cloud, self.bonds, phi)
 
     def damage(self):
         return self.bonds.damage()
@@ -176,10 +206,10 @@ class NetworkForce:
     def settle(self, state, dt, force):
         """Update damage once per step from the post-step stretches; return
         force, refreshed where bonds changed."""
-        bonds, model = self.bonds, self.model
-        q, f = model.take_pair_state()
-        if q is None:
+        if self._pass is None:
             raise RuntimeError("settle needs the kernel call of force at this state")
+        (q, f), self._pass = self._pass, None
+        bonds, model = self.bonds, self.model
         breaker = model.breaker
         if breaker is None or not breaker.active:
             return force
@@ -195,10 +225,8 @@ class NetworkForce:
         rows changed: re-evaluates those pairs into f and re-sums the rows of
         their end points into force, in place."""
         bonds = self.bonds
-        source, neighbors = bonds.source[rows], bonds.neighbors[rows]
-        eta = np.take(state.u, neighbors, axis=0) - np.take(state.u, source, axis=0)
-        f[rows] = self.model.force(bonds.xi[rows], eta, bonds.mu[rows])
-        points = np.unique(np.concatenate([source, neighbors]))
+        f[rows] = self._forces(state.u, rows)[1]
+        points = np.unique(np.concatenate([bonds.source[rows], bonds.neighbors[rows]]))
         force[points] = bonds.scatter[points] @ f
         return force
 
@@ -247,7 +275,10 @@ def kinetic_energy(cloud: PointCloud, v: np.ndarray) -> float:
 
 def potential_energy(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray) -> float:
     """Total bond potential, sum over pairs of phi w_ij V_i (= phi w_ji V_j)."""
-    phi = model.potential(bonds.xi, _relative(bonds, u), bonds.mu)
+    return _pair_energy(cloud, bonds, model.potential(bonds.xi, _relative(bonds, u), bonds.mu))
+
+
+def _pair_energy(cloud, bonds, phi):
     return float(np.sum(phi * bonds.weights * cloud.volumes[bonds.source]))
 
 

@@ -211,8 +211,10 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
             raise dynamics.coincident_bonds(model.family, xi + eta, lo, hi) from None
     np.negative(forward, out=f[:, :p])
     f *= weights
-    return np.column_stack([np.bincount(source, weights=f_k, minlength=cloud.n_points)
-                            for f_k in f])
+    out = np.empty((cloud.n_points, dim))
+    for f_k, out_k in zip(f, out.T):
+        out_k[:] = np.bincount(source, weights=f_k, minlength=cloud.n_points)
+    return out
 
 
 class MemoryForce:

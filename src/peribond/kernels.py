@@ -11,7 +11,6 @@ stretch s = (q - r)/r, unit vector n = (xi + eta)/q.
 """
 
 from dataclasses import dataclass
-import copy
 import math
 
 import numpy as np
@@ -190,79 +189,28 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
     return int(np.count_nonzero(changed))
 
 
-@dataclass(eq=False)
-class _Binding:
-    """Reference-bond data a bound model reuses on every call, and what its
-    last force call on the network's own xi formed."""
-
-    xi: np.ndarray      # the network's separations, recognized by identity
-    r: np.ndarray       # |xi|
-    radial: object      # the family's r-only factor _radial(r)
-    inside: bool        # every r lies inside support_radius
-    q: np.ndarray = None  # deformed lengths, until taken
-    f: np.ndarray = None  # pair forces, until taken
-
-
 class KernelModel:
     """Shared contract of the bond force families.
 
     Every family is a central force f = coef(q, r) (xi + eta) with a scalar
-    potential phi(q, r), and supplies only its scalars: _coef(q, r, k, mu),
-    the force magnitude per unit deformed length; _phi(q, r, k, mu); and
-    _stiff0(r), d|f|/dq at q = r. k = _radial(r) is the family's factor that
+    potential phi(q, r), and supplies only its scalars, all that the solid
+    loop (dynamics.NetworkForce) asks of it: _coef(q, r, k, mu), the force
+    magnitude per unit deformed length; _phi(q, r, k, mu); and _stiff0(r),
+    the signed d|f|/dq at q = r. k = _radial(r) is the family's factor that
     depends on r alone (the micro-modulus c(r) for PMB and rod, None for the
-    others). Families without breakage ignore mu.
-    This class shapes the bond arrays, checks the geometry, resolves mu
-    (None means intact) and zeroes every bond outside support_radius, which
-    defaults to the family's delta.
-
-    bind(bonds) returns a copy tied to one bond network. Called with that
-    network's own xi array, the copy reuses |xi|, k and the support test it
-    computed once, and skips the gate when every bond lies inside the
-    support; any other xi (a subset of the pairs, say) takes the per-call
-    path. Both paths do the same arithmetic in the same order, so their
-    results are bitwise equal. A force call on the network's own xi also
-    keeps the deformed lengths and pair forces it formed, until
-    take_pair_state hands them over.
+    others). Families without breakage ignore mu. force and potential here
+    shape the bond arrays, check the geometry, resolve mu (None: intact) and
+    zero every bond outside support_radius (by default the family's delta).
     """
 
     needs_direction = False  # True when the force divides by the deformed length
     breaker = None
-    _binding = None
-
-    def bind(self, bonds):
-        """A copy of this model bound to the reference bonds of a network.
-
-        The network's xi and xi_norm must not change while the copy is used.
-        """
-        r = bonds.xi_norm
-        if np.any(r == 0.0):
-            raise ValueError(f"{self.family}: zero reference separation in bond array")
-        inside = bool(np.all(in_support(r, self.support_radius)))
-        bound = copy.copy(self)
-        object.__setattr__(bound, "_binding",
-                           _Binding(bonds.xi, r, self._radial(r), inside))
-        return bound
-
-    def take_pair_state(self):
-        """(q, f) of the last force call on the bound network's own xi: the
-        deformed length and the force of every pair, handed over once.
-        (None, None) when no such call came since the last take."""
-        b = self._binding
-        if b is None:
-            return None, None
-        q, f = b.q, b.f
-        b.q = b.f = None
-        return q, f
 
     def force(self, xi, eta, mu=None):
         z, q, r, k, mu, single = self._bonds(xi, eta, mu)
         coef = self._gate(self._coef(q, r, k, mu), r)
         for z_k in z.T:
             z_k *= coef
-        b = self._binding
-        if b is not None and r is b.r:
-            b.q, b.f = q, z
         return z[0] if single else z
 
     def potential(self, xi, eta, mu=None):
@@ -271,7 +219,7 @@ class KernelModel:
         return float(phi[0]) if single else phi
 
     def stiffness0(self, xi_norm):
-        """Magnitude of the bond stiffness d|f|/dq at the undeformed state."""
+        """The signed bond stiffness d|f|/dq at the undeformed state q = r."""
         r = np.asarray(xi_norm, dtype=float)
         return self._gate(self._stiff0(r), r)
 
@@ -294,25 +242,16 @@ class KernelModel:
         return None
 
     def _gate(self, values, r):
-        b = self._binding
-        if b is not None and r is b.r and b.inside:
-            return values
         return np.where(in_support(r, self.support_radius), values, 0.0)
 
     def _bonds(self, xi, eta, mu):
         """Deformed bonds z, their lengths q and r, k = _radial(r), and mu
         (None: intact)."""
-        b = self._binding
-        if b is not None and xi is b.xi:
-            z = xi + eta
-            r, k, single = b.r, b.radial, False
-        else:
-            xi, eta, single = _as_bond_arrays(xi, eta)
-            z = xi + eta
-            r = lengths(xi)
-            if np.any(r == 0.0):
-                raise ValueError(f"{self.family}: zero reference separation in bond array")
-            k = self._radial(r)
+        xi, eta, single = _as_bond_arrays(xi, eta)
+        z = xi + eta
+        r = lengths(xi)
+        if np.any(r == 0.0):
+            raise ValueError(f"{self.family}: zero reference separation in bond array")
         q = lengths(z)
         if self.needs_direction and not q.all():
             rows = np.flatnonzero(q == 0.0)[:8].tolist()
@@ -321,7 +260,7 @@ class KernelModel:
                 f"(bond row(s) {rows})"
             )
         mu = 1.0 if mu is None else np.asarray(mu, dtype=float)
-        return z, q, r, k, mu, single
+        return z, q, r, self._radial(r), mu, single
 
 
 @dataclass(frozen=True)
@@ -613,7 +552,7 @@ class NanoFiber(NanoMembrane):
 
     def _stiff0(self, r):
         d = self.delta
-        vdw = 156.0 * self.vdw_a * d**12 / r**14 + 42.0 * self.vdw_b * d**6 / r**8
+        vdw = 156.0 * self.vdw_a * d**12 / r**14 - 42.0 * self.vdw_b * d**6 / r**8
         return super()._stiff0(r) + vdw
 
 

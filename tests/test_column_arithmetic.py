@@ -1,13 +1,13 @@
 """Column-by-column pair arithmetic against the broadcast expressions it replaced.
 
-fluid_force and KernelModel.force handle per-pair vectors one contiguous
-column per axis. The broadcast forms they replaced are kept here as slow
-oracles: fluid_force built (M, dim) arrays, scaled them by per-pair scalars
-through [:, None], reduced the dot product with np.sum(axis=1) and summed
-per point through _accumulate, over the directed pairs sorted by (source,
-neighbor); KernelModel.force scaled z by coef[:, None]. Both sides form every
-value by the same operations in the same order, so the results must be
-bitwise equal.
+fluid_force, KernelModel.force and NetworkForce handle per-pair vectors one
+contiguous column per axis. The broadcast forms they replaced are kept here
+as slow oracles: fluid_force built (M, dim) arrays, scaled them by per-pair
+scalars through [:, None], reduced the dot product with np.sum(axis=1) and
+summed per point through _accumulate, over the directed pairs sorted by
+(source, neighbor); KernelModel.force scaled z by coef[:, None], and so did
+the network's force, through the model. Both sides form every value by the
+same operations in the same order, so the results must be bitwise equal.
 """
 
 from types import SimpleNamespace
@@ -24,7 +24,7 @@ from peribond.discretization import (
     directed_pairs,
     partial_volume_factor,
 )
-from peribond.dynamics import zero_state
+from peribond.dynamics import NetworkForce, zero_state
 from peribond.errors import SingularConfigurationError
 from peribond.fluidpd import FLUID_KERNELS, FluidState, MemoryConfig, MemoryForce, fluid_force
 from peribond.kernels import default_models, lengths
@@ -97,7 +97,8 @@ def test_fluid_force_matches_the_broadcast_oracle(case):
 @st.composite
 def bond_cases(draw):
     """Random bonds of a default family, some outside its support, with an
-    optional per-bond mu, for a bound or an unbound model."""
+    optional per-bond mu, for the model itself or for a bond network's force
+    operator."""
     dim = draw(st.integers(1, 3))
     family = draw(st.sampled_from(sorted(default_models())))
     delta = draw(st.sampled_from((0.5, 1.0, 2.0)))
@@ -111,31 +112,46 @@ def bond_cases(draw):
     eta = 0.3 * delta * rng.uniform(-1.0, 1.0, (m, dim))
     mu = draw(st.sampled_from((None, "ones", "random")))
     mu = {None: None, "ones": np.ones(m), "random": rng.uniform(0.0, 1.0, m)}[mu]
-    if draw(st.booleans()):
-        model = model.bind(SimpleNamespace(xi=xi, xi_norm=lengths(xi)))
-    return model, xi, eta, mu
+    return model, xi, eta, mu, draw(st.booleans())
+
+
+def pair_operator(model, xi, eta, mu):
+    """A NetworkForce over the pairs (k, m + k) of 2m points, and a state whose
+    relative displacements are eta: the source points stay at rest, so
+    u[neighbor] - u[source] is eta exactly. mu None is an intact network."""
+    m, dim = xi.shape
+    bonds = SimpleNamespace(source=np.arange(m), neighbors=np.arange(m, 2 * m), xi=xi,
+                            xi_norm=lengths(xi), mu=np.ones(m) if mu is None else mu)
+    state = SimpleNamespace(u=np.concatenate([np.zeros_like(eta), eta]))
+    return NetworkForce(SimpleNamespace(dim=dim), bonds, model), state
 
 
 @settings(max_examples=300)
 @given(case=bond_cases())
 def test_kernel_force_matches_the_broadcast_oracle(case):
-    model, xi, eta, mu = case
+    model, xi, eta, mu, network = case
     want = broadcast_force(model, xi, eta, mu)
-    got = model.force(xi, eta, mu)
+    if network:
+        op, state = pair_operator(model, xi, eta, mu)
+        _, got = op._forces(state.u)
+    else:
+        got = model.force(xi, eta, mu)
     assert np.array_equal(got, want)
-    # one bond as a 1-D vector takes the per-call path
+    # one bond as a 1-D vector
     assert np.array_equal(model.force(xi[0], eta[0]), broadcast_force(model, xi[0], eta[0]))
 
 
-def test_a_bound_force_hands_over_the_scaled_pairs():
+def test_a_network_force_hands_over_the_scaled_pairs():
     model = default_models(1.0, 2)["pmb"]
     xi = np.array([[0.5, 0.0], [0.0, 0.25], [0.3, 0.4]])
     eta = np.array([[0.01, 0.0], [0.0, -0.02], [0.03, 0.0]])
-    bound = model.bind(SimpleNamespace(xi=xi, xi_norm=lengths(xi)))
-    f = bound.force(xi, eta)
-    q, handed = bound.take_pair_state()
-    assert handed is f and np.array_equal(q, lengths(xi + eta))
+    op, state = pair_operator(model, xi, eta, None)
+    op.bonds.scatter = np.ones((6, 3))   # any operator: it only sums the pair forces
+    force = op.force(state, None)
+    q, f = op._pass
+    assert np.array_equal(q, lengths(xi + eta))
     assert np.array_equal(f, broadcast_force(model, xi, eta))
+    assert np.array_equal(force, op.bonds.scatter @ f)
 
 
 def test_the_singular_length_verdict_is_the_compare_and_any_verdict():

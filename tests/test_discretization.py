@@ -112,6 +112,15 @@ def test_neighbor_pairs_rejects_horizon_beyond_half_box():
         neighbor_pairs(cloud.positions, 0.6, cloud.box, cloud.periodic)
 
 
+def test_neighbor_pairs_refuses_a_point_count_past_63_bit_keys():
+    # a pair's key (i << b) | j, b = (n - 1).bit_length(), takes 2b bits; a
+    # broadcast view has the point count without the memory
+    n = 2**31 + 1
+    positions = np.broadcast_to(np.zeros(2), (n, 2))
+    with pytest.raises(ValueError, match=rf"^neighbor_pairs: {n} points need 64-bit"):
+        neighbor_pairs(positions, 0.1, np.ones(2), np.zeros(2, dtype=bool))
+
+
 def test_marginal_bonds_kept_uniformly():
     # Lattice pairs at exactly r = delta land a few ulps either side of the
     # cutoff depending on which cell centers form them; the shared slack has

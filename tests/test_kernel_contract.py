@@ -26,6 +26,7 @@ from peribond.kernels import (
     PMB,
     QuadraticPotential,
     check_kernel_axioms,
+    default_models,
 )
 
 REL_TOL = 1e-12
@@ -76,7 +77,7 @@ def reference(model, q, r, mu):
             d, a, b = model.delta, model.vdw_a, model.vdw_b
             mag = mag - 12.0 * a * d**12 / q**13 + 6.0 * b * d**6 / q**7
             phi = phi + a * (d**12 / q**12 - d**12 / r**12) - b * (d**6 / q**6 - d**6 / r**6)
-            k0 = k0 + 156.0 * a * d**12 / r**14 + 42.0 * b * d**6 / r**8
+            k0 = k0 + 156.0 * a * d**12 / r**14 - 42.0 * b * d**6 / r**8
         return mag, phi, k0
     raise AssertionError(f"no reference for {name}")
 
@@ -124,6 +125,32 @@ def test_families_match_closed_forms(dim):
             assert rel_err(got, want) <= REL_TOL, (model.family, what, dim)
         # a single bond goes through the same contract
         assert np.array_equal(model.force(xi[0], eta[0], mu[0]), checks["force"][0][0])
+
+
+def magnitude_along_n(model, r, q, dim):
+    """|f| along n of bonds of reference length r deformed to length q, from
+    the library's own force: xi and eta both lie along the first axis."""
+    xi = np.zeros((r.size, dim))
+    xi[:, 0] = r
+    eta = np.zeros_like(xi)
+    eta[:, 0] = q - r
+    return model.force(xi, eta)[:, 0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stiffness0_is_the_slope_of_the_force_magnitude(dim):
+    # the signed d|f|/dq at q = r, by a central difference of force itself,
+    # for every family of default_models and for a nano-fiber whose van der
+    # Waals length is one grid spacing of a delta = 4h lattice
+    models = list(default_models(1.0, dim).values())
+    models.append(NanoFiber(c=0.9, g=1.2, vdw_a=0.3, vdw_b=0.7, delta=0.25))
+    for model in models:
+        r = np.linspace(0.3, 0.95, 14) * model.support_radius
+        step = 1e-6 * r
+        slope = (magnitude_along_n(model, r, r + step, dim)
+                 - magnitude_along_n(model, r, r - step, dim)) / (2.0 * step)
+        got = model.stiffness0(r)
+        assert np.all(np.abs(got - slope) <= 1e-6 * np.abs(slope)), (model.family, dim)
 
 
 # -- axioms over random valid parameters ------------------------------------

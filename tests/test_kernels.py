@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peribond import HorizonConfig, build_bonds, build_grid
+from peribond.dynamics import NetworkForce, zero_state
 from peribond.errors import ConfigError, SingularConfigurationError
 from peribond.kernels import (
     AntiPlaneShear,
@@ -183,8 +185,9 @@ def test_a_zero_reference_separation_is_refused(family):
     message = f"{family}: zero reference separation in bond array"
     with pytest.raises(ValueError, match=message):   # unbound: checked per call
         model.force(xi, np.zeros_like(xi))
-    with pytest.raises(ValueError, match=message):   # bound: checked once, by bind
-        model.bind(SimpleNamespace(xi=xi, xi_norm=np.linalg.norm(xi, axis=1)))
+    with pytest.raises(ValueError, match=message):   # a network's: checked once, when built
+        NetworkForce(SimpleNamespace(dim=2),
+                     SimpleNamespace(xi=xi, xi_norm=np.linalg.norm(xi, axis=1)), model)
 
 
 @pytest.mark.parametrize("family", sorted(default_models()))
@@ -202,10 +205,23 @@ def test_one_eta_row_broadcasts_over_every_bond(family):
             call(xi, np.zeros((5, 2)))
 
 
-def test_an_unbound_model_holds_no_pair_state():
-    model = QuadraticPotential()
-    model.force(XI, ETA)
-    assert model.take_pair_state() == (None, None)
+def test_a_network_force_holds_its_pass_until_settle_and_no_longer():
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0)
+    model = QuadraticPotential(delta=0.3)
+    op = NetworkForce(cloud, build_bonds(cloud, HorizonConfig(0.3)), model)
+    fields = vars(model).copy()
+    state = zero_state(cloud)
+    state.u[:] = 0.01 * np.random.default_rng(5).standard_normal(state.u.shape)
+    with pytest.raises(RuntimeError, match="settle needs"):   # no force at this state
+        op.settle(state, 1.0, np.zeros_like(state.u))
+    force = op.force(state, state.v)
+    assert op._pass is not None
+    op.potential(state)
+    assert op._pass is not None   # the energy does not touch it
+    assert op.settle(state, 1.0, force) is force and op._pass is None
+    with pytest.raises(RuntimeError, match="settle needs"):   # taken once
+        op.settle(state, 1.0, force)
+    assert vars(model) == fields   # the model holds no pair state
 
 
 def test_support_gating_zeroes_force_outside_delta():

@@ -181,16 +181,17 @@ def test_plate_run_evaluates_each_pair_once_per_step(monkeypatch):
     # one full-network kernel call per step (plus step 1's incoming force);
     # a step that breaks bonds re-evaluates just those pairs, in one call.
     # The breaker takes its stretch from the kernel's own lengths, and the
-    # operator keeps no per-pair array from one step to the next.
+    # operator keeps no per-pair array from one step to the next beyond the
+    # reference data it formed once.
     setup = build_plate_precrack(n=32, n_steps=60, record_every=30)
     n_pairs = setup.bonds.n_bonds
     sizes, changed, held = [], [], []
-    exact_force, exact_update = PMB.force, dynamics.update_breaker
+    exact_coef, exact_update = PMB._coef, dynamics.update_breaker
     exact_settle = dynamics.NetworkForce.settle
 
-    def counted_force(self, xi, eta, mu=None):
-        sizes.append(len(xi))
-        return exact_force(self, xi, eta, mu)
+    def counted_coef(self, q, r, k, mu):
+        sizes.append(len(q))
+        return exact_coef(self, q, r, k, mu)
 
     def counted_update(*args, **kwargs):
         changed.append(exact_update(*args, **kwargs))
@@ -201,13 +202,14 @@ def test_plate_run_evaluates_each_pair_once_per_step(monkeypatch):
 
     def checked_settle(self, state, dt, force):
         out = exact_settle(self, state, dt, force)
-        kept = [k for k, v in vars(self).items()
-                if isinstance(v, np.ndarray) and v.shape[:1] == (n_pairs,)]
-        kept += [a for a in self.model.take_pair_state() if a is not None]
+        # k and the support mask are the network's reference data, formed once
+        kept = [k for k, v in vars(self).items() if k not in ("k", "inside")
+                and isinstance(v, np.ndarray) and v.shape[:1] == (n_pairs,)]
+        kept += [] if self._pass is None else list(self._pass)
         held.append(kept)
         return out
 
-    monkeypatch.setattr(PMB, "force", counted_force)
+    monkeypatch.setattr(PMB, "_coef", counted_coef)
     monkeypatch.setattr(dynamics, "update_breaker", counted_update)
     monkeypatch.setattr(dynamics, "bond_stretches", no_stretches)
     monkeypatch.setattr(dynamics.NetworkForce, "settle", checked_settle)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
-from peribond import HorizonConfig, build_bonds, build_grid, kernels
+from peribond import HorizonConfig, build_bonds, build_grid, dynamics, kernels
 from peribond.discretization import (
     directed_pairs,
     neighbor_pairs,
@@ -137,49 +137,71 @@ def test_pair_network_matches_directed_reference(lattice, family, seed):
 @settings(max_examples=120)
 @given(lattice=lattices(), family=st.sampled_from(sorted(default_models())),
        support=st.sampled_from([1.0, 0.6]), seed=st.integers(0, 2**16))
-def test_bound_model_is_bitwise_the_unbound_model(lattice, family, support, seed):
+def test_network_force_is_bitwise_the_unbound_model(lattice, family, support, seed):
     # support 0.6 puts the outer bonds of most networks outside the kernel's
-    # support radius, so the bound path has to keep its gate
+    # support radius, so the operator has to keep the gate
     cloud, horizon = lattice
     model = default_models(delta=support * horizon.delta, dim=cloud.dim)[family]
     bonds = build_bonds(cloud, horizon)
-    bound = model.bind(bonds)
-    assert bound == model
+    op = NetworkForce(cloud, bonds, model)
 
     rng = np.random.default_rng(seed)
-    eta = 0.05 * cloud.spacing * rng.standard_normal(bonds.xi.shape)
+    state = zero_state(cloud)
+    state.u[:] = 0.05 * cloud.spacing * rng.standard_normal(state.u.shape)
+    eta = state.u[bonds.neighbors] - state.u[bonds.source]
     mu = rng.uniform(0.0, 1.0, bonds.n_bonds)
     mu[rng.random(bonds.n_bonds) < 0.2] = 0.0
-    for m in (mu, None):
-        assert np.array_equal(bound.force(bonds.xi, eta, m), model.force(bonds.xi, eta, m))
-        assert np.array_equal(bound.potential(bonds.xi, eta, m),
-                              model.potential(bonds.xi, eta, m))
-    # a copy of xi is another array: the bound model takes the per-call path
-    assert np.array_equal(bound.force(bonds.xi.copy(), eta, mu),
-                          model.force(bonds.xi, eta, mu))
+    for m in (mu, np.ones(bonds.n_bonds)):
+        bonds.mu[:] = m
+        assert np.array_equal(op.force(state, state.v),
+                              internal_force(cloud, bonds, model, state.u))
+        assert np.array_equal(op._pass[1], model.force(bonds.xi, eta, bonds.mu))
+        assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
 
 
-def test_bound_model_skips_the_reference_lengths_and_keeps_its_gate(monkeypatch):
+@pytest.mark.parametrize("breaker", ["critical-stretch", "theta-eps"])
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_network_force_forms_the_reference_data_once_and_keeps_the_gate(
+        family, breaker, monkeypatch):
+    # every family, under either breaker, on a network with bonds outside
+    # the family's support: force takes only the deformed lengths, and its
+    # force, its potential and its refresh after a break are bitwise the
+    # unbound model's
     cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(False, False))
     bonds = build_bonds(cloud, HorizonConfig(3 * 0.125))
-    model = default_models(delta=0.2, dim=2)["pmb"]
+    model = default_models(delta=0.2, dim=2)[family]
     assert np.any(bonds.xi_norm > model.support_radius)
-    bound = model.bind(bonds)
-    eta = 0.01 * np.random.default_rng(3).standard_normal(bonds.xi.shape)
+    law = kernels.BondBreaker(breaker, s0=0.02, eps=0.05)
+    if any(field.name == "breaker" for field in dataclasses.fields(model)):
+        model = dataclasses.replace(model, breaker=law)
+    else:  # the breaker's marks, set as if by earlier steps
+        rng = np.random.default_rng(4)
+        marked = rng.random(bonds.n_bonds) < 0.2
+        bonds.mu[marked] = (0.0 if breaker == "critical-stretch"
+                            else rng.uniform(0.0, 1.0, np.count_nonzero(marked)))
+    op = NetworkForce(cloud, bonds, model)
+    state = zero_state(cloud)
+    state.u[:] = 0.01 * np.random.default_rng(3).standard_normal(state.u.shape)
 
-    calls, lengths = [], kernels.lengths
+    calls, lengths = [], dynamics.lengths
 
     def counted(z):
         calls.append(z.shape)
         return lengths(z)
 
-    monkeypatch.setattr(kernels, "lengths", counted)
-    f = bound.force(bonds.xi, eta, bonds.mu)
-    assert len(calls) == 1  # the deformed lengths only
-    assert np.array_equal(f, model.force(bonds.xi, eta, bonds.mu))
-    assert len(calls) == 3
+    monkeypatch.setattr(dynamics, "lengths", counted)
+    force = op.force(state, state.v)
+    assert calls == [bonds.xi.shape]  # the deformed lengths only
+    f = op._pass[1]
+    assert np.array_equal(force, internal_force(cloud, bonds, model, state.u))
     outside = bonds.xi_norm > model.support_radius * kernels.SUPPORT_SLACK
     assert np.all(f[outside] == 0.0) and np.any(f[~outside] != 0.0)
+    assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
+    mu = bonds.mu.copy()
+    force = op.settle(state, 1.0, force)
+    assert model.breaker is None or not model.breaker.active or np.any(bonds.mu != mu)
+    assert np.array_equal(force, internal_force(cloud, bonds, model, state.u))
+    assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
 
 
 def csc_scatter(bonds):
@@ -282,8 +304,7 @@ def test_row_local_refresh_is_bitwise_a_fresh_force(lattice, family, change, see
     bonds.mu[rng.random(m) < 0.1] = 0.0  # bonds broken in earlier steps
     op = NetworkForce(cloud, bonds, model)
     force = op.force(state, state.v)
-    _, f = op.model.take_pair_state()
-    assert f is not None
+    _, f = op._pass
 
     rows = {
         "none": np.arange(0),

@@ -11,12 +11,16 @@ more with finite memory (`[memory] mode = finite`, `s = 0.04`, `[time]
 steps = 200`: a stride of 2 steps at dt 0.02, far inside the stable span),
 once more with the bond model as the zero-memory kernel (`[memory]
 fluid_kernel = kernel`), and once more in 3D (`dim = 3`, a periodic unit
-cube, `h = 0.125`, `delta = 0.375`, 40 steps), each with `[output]
-snapshot_every = 100`, into a temporary directory and prints one line per
-file written, under the run's label. Then it builds each perfbench workload at seed 7, integrates it, and
-prints one line each for the final u, v and every series column. Run it on
-two commits and diff the two listings: identical outputs print identical
-lines.
+cube, `h = 0.125`, `delta = 0.375`, 40 steps). Then it runs the plate
+once more with the graded breaker (`[breaker] mode = theta-eps`, `eps =
+0.01`, 20 steps: fractional mu through the row-local refresh) and the bar
+once more with `[kernel] micro = triangular` (a bond constant that varies
+with |xi|). Each run has `[output] snapshot_every = 100` and writes into a
+temporary directory; the script prints one line per file written, under
+the run's label. Then it builds each perfbench workload at seed 7,
+integrates it, and prints one line each for the final u, v and every
+series column. Run it on two commits and diff the two listings: identical
+outputs print identical lines.
 """
 
 import contextlib
@@ -45,7 +49,11 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
              "[memory]\nfluid_kernel = kernel\n"),
             ("fluid-shear-3d", "fluid-run", "fluid-shear",
              "[domain]\ndim = 3\nbox = 1, 1, 1\nperiodic = true, true, true\n"
-             "h = 0.125\n[horizon]\ndelta = 0.375\n[time]\nsteps = 40\n"))
+             "h = 0.125\n[horizon]\ndelta = 0.375\n[time]\nsteps = 40\n"),
+            ("plate2d-precrack-theta-eps", "run", "plate2d-precrack",
+             "[breaker]\nmode = theta-eps\neps = 0.01\n[time]\nsteps = 20\n"),
+            ("bar1d-wave-triangular", "run", "bar1d-wave",
+             "[kernel]\nmicro = triangular\n"))
 SEED = 7
 
 
