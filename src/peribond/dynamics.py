@@ -21,7 +21,7 @@ import numpy as np
 
 from .discretization import BondNetwork, PointCloud
 from .errors import ConfigError, SimulationError, SingularConfigurationError
-from .kernels import in_support, lengths, stretch_of, update_breaker
+from .kernels import evaluate_pairs, lengths, reference_factors, stretch_of, update_breaker
 
 LOAD_PRESETS = ("none", "constant", "sinusoidal-in-x", "opposing-last-axis")
 
@@ -150,24 +150,21 @@ class NetworkForce:
     velocity and cannot be carried (here: updates the breaker and, when
     bonds changed, refreshes force in place).
 
-    The operator asks the model only for its scalars _coef and _phi; it
-    forms k = _radial(|xi|) and the support mask (None when every bond lies
-    inside) once, refusing a zero |xi|. force keeps its pass's deformed
-    lengths and pair forces until settle takes them: the stretch comes from
-    those lengths, with no second gather, and a break re-evaluates only the
-    changed pairs and re-sums only the rows of their end points, sliced from
-    the network's CSR operator. Both are bitwise what a fresh evaluation
-    gives.
+    The operator asks the model only for its scalars _coef and _phi, through
+    the pair pass of kernels: reference_factors forms k = _radial(|xi|) and
+    the support mask once, refusing a zero |xi|, and evaluate_pairs runs on
+    the gathered pairs, its zero-length refusal named by point pairs
+    (coincident_bonds). force keeps its pass's deformed lengths and pair
+    forces until settle takes them: the stretch comes from those lengths,
+    with no second gather, and a break re-evaluates only the changed pairs
+    and re-sums only the rows of their end points, sliced from the
+    network's CSR operator. Both are bitwise what a fresh evaluation gives.
     """
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
         model.validate_dim(cloud.dim)
-        r = bonds.xi_norm
-        if np.any(r == 0.0):
-            raise ValueError(f"{model.family}: zero reference separation in bond array")
-        inside = in_support(r, model.support_radius)
         self.cloud, self.bonds, self.model = cloud, bonds, model
-        self.k, self.inside = model._radial(r), (None if inside.all() else inside)
+        self.k, self.inside = reference_factors(model, bonds.xi_norm)
         self._pass = None  # (q, f) of the last force call, until settle
 
     def _pairs(self, u, kernel, rows=slice(None)):
@@ -176,12 +173,12 @@ class NetworkForce:
         bonds, k, inside = self.bonds, self.k, self.inside
         source, neighbors = bonds.source[rows], bonds.neighbors[rows]
         z = bonds.xi[rows] + (np.take(u, neighbors, axis=0) - np.take(u, source, axis=0))
-        q = lengths(z)
-        if self.model.needs_direction and not q.all():
-            raise coincident_bonds(self.model.family, z, source, neighbors)
-        values = kernel(q, bonds.xi_norm[rows], None if k is None else k[rows], bonds.mu[rows])
-        if inside is not None:
-            values = np.where(inside[rows], values, 0.0)
+        try:
+            q, values = evaluate_pairs(self.model, kernel, z, bonds.xi_norm[rows],
+                                       None if k is None else k[rows],
+                                       None if inside is None else inside[rows], bonds.mu[rows])
+        except SingularConfigurationError:
+            raise coincident_bonds(self.model.family, z, source, neighbors) from None
         return z, q, values
 
     def _forces(self, u, rows=slice(None)):

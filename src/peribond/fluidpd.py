@@ -103,22 +103,14 @@ def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
     return fs
 
 
-def _remembered_bonds(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
-                      last=None):
-    """The remembered shape and the bond pairs rediscovered in it.
-
-    last is an earlier (shape, bonds) result, returned again when its shape
-    is the very array remembered now: a remembered shape never changes.
-    """
+def _remembered_shape(state: FluidState, memory: MemoryConfig):
+    """The shape the bonds are found in, a memory span in the past. It never
+    changes, so its identity names its bonds."""
     if memory.mode == "zero":
         raise ConfigError("zero-memory runs use fluid_force, not memory_force")
     if memory.mode == "infinite":
-        ref = state.reference
-    else:
-        ref = state.remembered(state.step - state.stride)
-    if last is not None and last[0] is ref:
-        return last
-    return ref, pair_network(cloud, horizon, ref)
+        return state.reference
+    return state.remembered(state.step - state.stride)
 
 
 def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon: HorizonConfig):
@@ -129,7 +121,8 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
     accumulated since. With infinite memory this equals the reference-network
     internal force of the solid theory.
     """
-    ref, bonds = _remembered_bonds(cloud, state, memory, horizon)
+    ref = _remembered_shape(state, memory)
+    bonds = pair_network(cloud, horizon, ref)
     return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
 
 
@@ -221,12 +214,14 @@ class MemoryForce:
     """Force operator of the finite- and zero-memory dynamics.
 
     Each evaluation lifts the loop's displacement state onto current
-    coordinates (cloud.positions + u) in one FluidState; finite memory pushes
+    coordinates (cloud.positions + u) in one FluidState. Finite memory pushes
     every step's shape into its ring buffer and keeps the last remembered
-    shape with its bonds, so the force and the energy of one step share one
-    search. Only finite memory's force is carried over to the next step:
-    settle returns None otherwise. The zero-memory force depends on
-    velocity, so each shape is searched twice: at the end of one step and
+    shape with a dynamics.NetworkForce on the pairs found in it, so one
+    step's force and energy share one search. That operator is never
+    settled: it lives for one shape, carries no breaker state, and its last
+    pass goes with it. Only finite memory's force is carried over to the
+    next step: settle returns None otherwise. The zero-memory force depends
+    on velocity, so each shape is searched twice: at the end of one step and
     at the start of the next. (A search reused within the step waits on the
     benchmark's tracing, which counts both searches.)
     Zero memory keeps one fluid_workspace for the operator's lifetime: its
@@ -239,7 +234,7 @@ class MemoryForce:
         stride = max(1, int(round(memory.s / dt))) if memory.mode == "finite" else 0
         self.cloud, self.horizon, self.model, self.memory = cloud, horizon, model, memory
         self.fs = fluid_state(cloud, state, stride=stride)
-        self._last = None
+        self._network = None  # (remembered shape, its NetworkForce)
         self._workspace = fluid_workspace(cloud.dim) if memory.mode == "zero" else None
 
     def _lift(self, state, v):
@@ -249,26 +244,29 @@ class MemoryForce:
         fs.step = state.step
         return fs
 
-    def _remembered(self, fs):
-        self._last = _remembered_bonds(self.cloud, fs, self.memory, self.horizon, self._last)
-        return self._last
+    def _remembered(self, state, v):
+        """The remembered shape's operator, and state as it sees it."""
+        fs = self._lift(state, v)
+        ref = _remembered_shape(fs, self.memory)
+        if self._network is None or self._network[0] is not ref:
+            bonds = pair_network(self.cloud, self.horizon, ref)
+            self._network = ref, dynamics.NetworkForce(self.cloud, bonds, self.model)
+        return self._network[1], dynamics.SimState(fs.positions - ref, v)
 
     def force(self, state, v):
-        fs = self._lift(state, v)
         if self.memory.mode == "zero":
-            return fluid_force(self.cloud, fs, self.memory, self.horizon, model=self.model,
-                               workspace=self._workspace)
-        ref, bonds = self._remembered(fs)
-        return dynamics.internal_force(self.cloud, bonds, self.model, fs.positions - ref)
+            return fluid_force(self.cloud, self._lift(state, v), self.memory, self.horizon,
+                               model=self.model, workspace=self._workspace)
+        op, remembered = self._remembered(state, v)
+        return op.force(remembered, v)
 
     def potential(self, state):
         """Elastic energy against the remembered shape; the viscous kernel
         of zero memory stores none."""
         if self.memory.mode == "zero":
             return 0.0
-        fs = self._lift(state, state.v)
-        ref, bonds = self._remembered(fs)
-        return dynamics.potential_energy(self.cloud, bonds, self.model, fs.positions - ref)
+        op, remembered = self._remembered(state, state.v)
+        return op.potential(remembered)
 
     def damage(self):
         return np.zeros(self.cloud.n_points)
@@ -286,10 +284,10 @@ def run_fluid(cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
               on_snapshot=None) -> dynamics.RunResult:
     """Advance the memory dynamics through the solid run's loop and series.
 
-    finite memory rediscovers bonds against the trailing shape each
-    evaluation. zero memory advects particles under the velocity-difference
-    kernel; its potential column is zero (the viscous kernel stores no
-    elastic energy). infinite memory is the solid theory on a network this
+    finite memory runs the solid's NetworkForce on the bonds found in each
+    trailing shape. zero memory advects particles under the
+    velocity-difference kernel; its potential column is zero (the viscous
+    kernel stores no elastic energy). infinite memory is the solid theory on a network this
     function does not hold (a preset's may carry a seeded crack), so it is
     refused: run dynamics.run on that network.
     """

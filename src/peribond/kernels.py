@@ -32,15 +32,15 @@ def in_support(r, delta):
 
 
 def _as_bond_arrays(xi, eta):
+    """Deformed bonds z = xi + eta as (M, dim) rows, their reference lengths
+    |xi|, and whether one bond came as a vector."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     single = xi.ndim == 1
     if single:
         xi = xi[None, :]
         eta = np.atleast_2d(eta)
-    if eta.shape != xi.shape:
-        eta = np.broadcast_to(eta, xi.shape)
-    return xi, eta, single
+    return xi + np.broadcast_to(eta, xi.shape), lengths(xi), single
 
 
 def lengths(z):
@@ -66,25 +66,11 @@ def stretch_of(q, r, out=None):
 
 def bond_stretch(xi, eta):
     """Relative elongation s = (|xi + eta| - |xi|)/|xi| of one or many bonds."""
-    xi2, eta2, single = _as_bond_arrays(xi, eta)
-    r = lengths(xi2)
+    z, r, single = _as_bond_arrays(xi, eta)
     if np.any(r == 0.0):
         raise ValueError("bond stretch undefined for zero reference separation")
-    s = stretch_of(lengths(xi2 + eta2), r)
+    s = stretch_of(lengths(z), r)
     return float(s[0]) if single else s
-
-
-def calibrate_pmb_c(bulk_modulus, delta):
-    """3D bond constant c0 = 18 k / (pi delta^4) from bulk modulus k.
-
-    Valid for three-dimensional bodies only; lower-dimensional runs must
-    supply c0 directly.
-    """
-    if not bulk_modulus > 0.0:
-        raise ConfigError(f"bulk modulus must be positive, got {bulk_modulus}")
-    if not delta > 0.0:
-        raise ConfigError(f"horizon delta must be positive, got {delta}")
-    return 18.0 * bulk_modulus / (math.pi * delta**4)
 
 
 @dataclass(frozen=True)
@@ -189,39 +175,65 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
     return int(np.count_nonzero(changed))
 
 
+def reference_factors(model, r):
+    """k = model._radial(r) of reference lengths r and their support mask,
+    None when every bond lies inside: all that a pair pass needs of r. A
+    zero r is refused."""
+    if np.any(r == 0.0):
+        raise ValueError(f"{model.family}: zero reference separation in bond array")
+    inside = in_support(r, model.support_radius)
+    return model._radial(r), (None if inside.all() else inside)
+
+
+def evaluate_pairs(model, kernel, z, r, k, inside, mu):
+    """The one pair pass of every bond evaluation: q = |z| of the deformed
+    bonds z and kernel(q, r, k, mu), zeroed where the support mask inside
+    is False. kernel is model._coef or model._phi, mu None means intact, and
+    a zero q is refused, naming its rows, when the family needs_direction."""
+    q = lengths(z)
+    if model.needs_direction and not q.all():
+        rows = np.flatnonzero(q == 0.0)[:8].tolist()
+        raise SingularConfigurationError(
+            f"{model.family}: deformed bond length reached zero (bond row(s) {rows})")
+    values = kernel(q, r, k, 1.0 if mu is None else np.asarray(mu, dtype=float))
+    if inside is not None:
+        values = np.where(inside, values, 0.0)
+    return q, values
+
+
 class KernelModel:
     """Shared contract of the bond force families.
 
     Every family is a central force f = coef(q, r) (xi + eta) with a scalar
-    potential phi(q, r), and supplies only its scalars, all that the solid
-    loop (dynamics.NetworkForce) asks of it: _coef(q, r, k, mu), the force
-    magnitude per unit deformed length; _phi(q, r, k, mu); and _stiff0(r),
-    the signed d|f|/dq at q = r. k = _radial(r) is the family's factor that
-    depends on r alone (the micro-modulus c(r) for PMB and rod, None for the
-    others). Families without breakage ignore mu. force and potential here
-    shape the bond arrays, check the geometry, resolve mu (None: intact) and
-    zero every bond outside support_radius (by default the family's delta).
+    potential phi(q, r), and supplies only its scalars: _coef(q, r, k, mu),
+    the force magnitude per unit deformed length; _phi(q, r, k, mu); and
+    _stiff0(r), the signed d|f|/dq at q = r. k = _radial(r) is the family's
+    factor that depends on r alone (the micro-modulus c(r) for PMB and rod,
+    None for the others). Families without breakage ignore mu. force and
+    potential shape the bond arrays and run the pair pass that
+    dynamics.NetworkForce runs too (reference_factors, evaluate_pairs); it
+    zeroes every bond outside support_radius (by default the family's delta).
     """
 
     needs_direction = False  # True when the force divides by the deformed length
     breaker = None
 
     def force(self, xi, eta, mu=None):
-        z, q, r, k, mu, single = self._bonds(xi, eta, mu)
-        coef = self._gate(self._coef(q, r, k, mu), r)
+        z, r, single = _as_bond_arrays(xi, eta)
+        _, coef = evaluate_pairs(self, self._coef, z, r, *reference_factors(self, r), mu)
         for z_k in z.T:
             z_k *= coef
         return z[0] if single else z
 
     def potential(self, xi, eta, mu=None):
-        z, q, r, k, mu, single = self._bonds(xi, eta, mu)
-        phi = self._gate(self._phi(q, r, k, mu), r)
+        z, r, single = _as_bond_arrays(xi, eta)
+        _, phi = evaluate_pairs(self, self._phi, z, r, *reference_factors(self, r), mu)
         return float(phi[0]) if single else phi
 
     def stiffness0(self, xi_norm):
         """The signed bond stiffness d|f|/dq at the undeformed state q = r."""
         r = np.asarray(xi_norm, dtype=float)
-        return self._gate(self._stiff0(r), r)
+        return np.where(in_support(r, self.support_radius), self._stiff0(r), 0.0)
 
     @property
     def support_radius(self) -> float:
@@ -240,27 +252,6 @@ class KernelModel:
 
     def _radial(self, r):
         return None
-
-    def _gate(self, values, r):
-        return np.where(in_support(r, self.support_radius), values, 0.0)
-
-    def _bonds(self, xi, eta, mu):
-        """Deformed bonds z, their lengths q and r, k = _radial(r), and mu
-        (None: intact)."""
-        xi, eta, single = _as_bond_arrays(xi, eta)
-        z = xi + eta
-        r = lengths(xi)
-        if np.any(r == 0.0):
-            raise ValueError(f"{self.family}: zero reference separation in bond array")
-        q = lengths(z)
-        if self.needs_direction and not q.all():
-            rows = np.flatnonzero(q == 0.0)[:8].tolist()
-            raise SingularConfigurationError(
-                f"{self.family}: deformed bond length reached zero "
-                f"(bond row(s) {rows})"
-            )
-        mu = 1.0 if mu is None else np.asarray(mu, dtype=float)
-        return z, q, r, self._radial(r), mu, single
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ as slow oracles: fluid_force built (M, dim) arrays, scaled them by per-pair
 scalars through [:, None], reduced the dot product with np.sum(axis=1) and
 summed per point through _accumulate, over the directed pairs sorted by
 (source, neighbor); KernelModel.force scaled z by coef[:, None], and so did
-the network's force, through the model. Both sides form every value by the
+the network's force, through the model. The bond oracle is written out from
+the family's own scalars (_radial, _coef) and in_support, not through the
+pair pass of kernels under test. Both sides form every value by the
 same operations in the same order, so the results must be bitwise equal.
 """
 
@@ -27,7 +29,7 @@ from peribond.discretization import (
 from peribond.dynamics import NetworkForce, zero_state
 from peribond.errors import SingularConfigurationError
 from peribond.fluidpd import FLUID_KERNELS, FluidState, MemoryConfig, MemoryForce, fluid_force
-from peribond.kernels import default_models, lengths
+from peribond.kernels import default_models, in_support, lengths
 from test_pair_network import lexsort_directed_pairs
 
 
@@ -53,8 +55,11 @@ def broadcast_fluid_force(cloud, state, memory, horizon, model=None):
 
 
 def broadcast_force(model, xi, eta, mu=None):
-    z, q, r, k, mu, single = model._bonds(xi, eta, mu)
-    z *= model._gate(model._coef(q, r, k, mu), r)[:, None]
+    single = np.ndim(xi) == 1
+    xi, eta = np.atleast_2d(xi), np.atleast_2d(eta)
+    z, r = xi + eta, lengths(xi)
+    coef = model._coef(lengths(z), r, model._radial(r), 1.0 if mu is None else mu)
+    z *= np.where(in_support(r, model.support_radius), coef, 0.0)[:, None]
     return z[0] if single else z
 
 

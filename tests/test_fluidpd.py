@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from peribond import (
+    BondBreaker,
     HorizonConfig,
     MemoryConfig,
     build_bonds,
@@ -15,11 +16,12 @@ from peribond import (
     fluid_force,
     internal_force,
     memory_force,
+    run,
     run_fluid,
     step_verlet,
     zero_state,
 )
-from peribond import fluidpd
+from peribond import dynamics, fluidpd, kernels
 from peribond.discretization import directed_pairs
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
 from peribond.fluidpd import FluidState, MemoryForce, fluid_state
@@ -297,6 +299,45 @@ def test_run_fluid_finite_memory_runs_and_records():
     assert np.all(np.isfinite(result.series["total"]))
     # finite memory reports the remembered-shape elastic potential
     assert result.series["potential"][-1] >= 0.0
+
+
+def test_the_loops_evaluate_every_pair_through_network_force(monkeypatch):
+    # run and finite-memory run_fluid reach the kernel only through
+    # NetworkForce's pass: never through the unbound entry points. Finite
+    # memory builds one operator per distinct remembered shape: the
+    # reference shape, then the shapes of steps 0 .. n - stride.
+    def refused(*args, **kwargs):
+        raise AssertionError("a loop called an unbound entry point")
+
+    for owner, name in ((dynamics, "internal_force"), (dynamics, "potential_energy"),
+                        (kernels.KernelModel, "force"), (kernels.KernelModel, "potential"),
+                        (kernels.PMB, "force")):
+        monkeypatch.setattr(owner, name, refused)
+    built, init = [], dynamics.NetworkForce.__init__
+
+    def counted(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(dynamics.NetworkForce, "__init__", counted)
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, True))
+    horizon = HorizonConfig(0.375)
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.375),
+                breaker=BondBreaker("critical-stretch", s0=0.005))
+    bonds = build_bonds(cloud, horizon)
+    state = zero_state(cloud)
+    state.v[:, 0] = 0.2 * np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    run(cloud, bonds, model, state, 0.02, 10)
+    assert len(built) == 1 and built[0] is bonds
+    assert np.any(bonds.mu == 0.0)   # bonds broke, so the row-local refresh ran too
+
+    built.clear()
+    n_steps, stride = 10, 2
+    state = zero_state(cloud)
+    state.v[:, 0] = 0.01 * np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    run_fluid(cloud, horizon, model, MemoryConfig(mode="finite", s=stride * 0.02), state,
+              0.02, n_steps)
+    assert len(built) == 2 + n_steps - stride
 
 
 def test_run_fluid_validation():

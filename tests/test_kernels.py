@@ -28,7 +28,6 @@ from peribond.kernels import (
     PMB,
     QuadraticPotential,
     bond_stretch,
-    calibrate_pmb_c,
     check_kernel_axioms,
     default_models,
     in_support,
@@ -166,16 +165,6 @@ def test_micro_modulus_profiles():
     assert MicroModulus("cylindrical", 3.0, delta)(1.0) == 3.0
     with pytest.raises(ConfigError):
         MicroModulus("gaussian", 1.0, delta)
-
-
-def test_calibrate_pmb_c():
-    assert calibrate_pmb_c(1.0, 1.0) == pytest.approx(18.0 / math.pi)
-    # c0 ~ delta^-4
-    assert calibrate_pmb_c(1.0, 0.5) == pytest.approx(16.0 * 18.0 / math.pi)
-    with pytest.raises(ConfigError):
-        calibrate_pmb_c(-1.0, 1.0)
-    with pytest.raises(ConfigError, match="horizon delta must be positive, got 0"):
-        calibrate_pmb_c(1.0, 0.0)
 
 
 @pytest.mark.parametrize("family", sorted(default_models()))

@@ -183,12 +183,14 @@ def test_network_force_forms_the_reference_data_once_and_keeps_the_gate(
     state = zero_state(cloud)
     state.u[:] = 0.01 * np.random.default_rng(3).standard_normal(state.u.shape)
 
-    calls, lengths = [], dynamics.lengths
+    calls, lengths = [], kernels.lengths
 
     def counted(z):
         calls.append(z.shape)
         return lengths(z)
 
+    # the pass forms q in kernels; dynamics forms no lengths of its own here
+    monkeypatch.setattr(kernels, "lengths", counted)
     monkeypatch.setattr(dynamics, "lengths", counted)
     force = op.force(state, state.v)
     assert calls == [bonds.xi.shape]  # the deformed lengths only

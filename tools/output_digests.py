@@ -15,7 +15,10 @@ cube, `h = 0.125`, `delta = 0.375`, 40 steps). Then it runs the plate
 once more with the graded breaker (`[breaker] mode = theta-eps`, `eps =
 0.01`, 20 steps: fractional mu through the row-local refresh) and the bar
 once more with `[kernel] micro = triangular` (a bond constant that varies
-with |xi|). Each run has `[output] snapshot_every = 100` and writes into a
+with |xi|). Finite-memory fluid-shear runs twice more, with `[kernel]
+family = rod`, `micro = triangular` (a k that varies with |xi|) and with
+`family = nano-membrane` (a force that divides by q, and its own phi).
+Each run has `[output] snapshot_every = 100` and writes into a
 temporary directory; the script prints one line per file written, under
 the run's label. Then it builds each perfbench workload at seed 7,
 integrates it, and prints one line each for the final u, v and every
@@ -53,7 +56,13 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
             ("plate2d-precrack-theta-eps", "run", "plate2d-precrack",
              "[breaker]\nmode = theta-eps\neps = 0.01\n[time]\nsteps = 20\n"),
             ("bar1d-wave-triangular", "run", "bar1d-wave",
-             "[kernel]\nmicro = triangular\n"))
+             "[kernel]\nmicro = triangular\n"),
+            ("fluid-shear-finite-rod", "fluid-run", "fluid-shear",
+             "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"
+             "[kernel]\nfamily = rod\nmicro = triangular\n"),
+            ("fluid-shear-finite-nano-membrane", "fluid-run", "fluid-shear",
+             "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"
+             "[kernel]\nfamily = nano-membrane\n"))
 SEED = 7
 
 
