@@ -9,6 +9,7 @@ separations.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import warnings
 
@@ -70,9 +71,10 @@ class BondNetwork:
     sparse CSR operator that does both; its rows list their entries in pair
     order, so scatter @ f sums each point's terms in pair order and
     scatter[points] @ f re-sums those rows bitwise as the full product does.
-    The fields are fixed; the mu and accum arrays hold the mutable per-pair
-    damage state (intactness factor in [0, 1] and the graded-breakage
-    accumulator).
+    The fields are fixed; the mu array holds the mutable per-pair intactness
+    factor in [0, 1]. accum, the graded-breakage accumulator that only the
+    theta-eps breaker reads, is made (zero) on first use and is kept, like
+    mu, for the network's life.
     """
 
     source: np.ndarray           # (M,) lower point index per pair
@@ -82,9 +84,13 @@ class BondNetwork:
     weights: np.ndarray          # (M,) weight onto source = V_neighbor * partial volume factor
     reverse_weights: np.ndarray  # (M,) weight onto neighbor = V_source * partial volume factor
     mu: np.ndarray               # (M,) bond intactness, starts at 1
-    accum: np.ndarray            # (M,) graded-breakage accumulator, starts at 0
     n_points: int
     scatter: csr_matrix          # (n_points, M): w_ij at source, -w_ji at neighbor
+
+    @cached_property
+    def accum(self) -> np.ndarray:
+        """(M,) graded-breakage accumulator, starts at 0."""
+        return np.zeros(self.n_bonds)
 
     @property
     def n_bonds(self) -> int:
@@ -392,7 +398,6 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
         weights=weights,
         reverse_weights=reverse_weights,
         mu=np.ones(source.shape[0]),
-        accum=np.zeros(source.shape[0]),
         n_points=cloud.n_points,
         scatter=_scatter_operator(source, neighbors, weights, reverse_weights,
                                   cloud.n_points),

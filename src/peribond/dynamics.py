@@ -15,6 +15,7 @@ per run.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -151,14 +152,17 @@ class NetworkForce:
     bonds changed, refreshes force in place).
 
     The operator asks the model only for its scalars _coef and _phi, through
-    the pair pass of kernels: reference_factors forms k = _radial(|xi|) and
-    the support mask once, refusing a zero |xi|, and evaluate_pairs runs on
-    the gathered pairs, its zero-length refusal named by point pairs
-    (coincident_bonds). force keeps its pass's deformed lengths and pair
-    forces until settle takes them: the stretch comes from those lengths,
-    with no second gather, and a break re-evaluates only the changed pairs
-    and re-sums only the rows of their end points, sliced from the
-    network's CSR operator. Both are bitwise what a fresh evaluation gives.
+    the pair pass of kernels: reference_factors forms k = _radial(|xi|) (one
+    number when it is the same for every bond) and the support mask once,
+    refusing a zero |xi|, and evaluate_pairs runs on the gathered pairs, its
+    zero-length refusal named by point pairs (coincident_bonds). force keeps
+    its pass's deformed lengths and pair forces until settle takes them: the
+    stretch comes from those lengths, with no second gather, and a break
+    re-evaluates only the changed pairs and re-sums only the rows of their
+    end points, sliced from the network's CSR operator. Both are bitwise
+    what a fresh evaluation gives. The breaker's per-bond thresholds are
+    formed at the first settle and kept; only theta-eps reads the network's
+    accumulator.
     """
 
     def __init__(self, cloud: PointCloud, bonds: BondNetwork, model):
@@ -166,6 +170,11 @@ class NetworkForce:
         self.cloud, self.bonds, self.model = cloud, bonds, model
         self.k, self.inside = reference_factors(model, bonds.xi_norm)
         self._pass = None  # (q, f) of the last force call, until settle
+
+    @cached_property
+    def thresholds(self):
+        """The breaker's per-bond critical stretch (None: its own s0)."""
+        return self.model.breaker_thresholds(self.bonds.xi_norm)
 
     def _pairs(self, u, kernel, rows=slice(None)):
         """z = xi + eta, q = |z| and the gated kernel(q, r, k, mu) of the
@@ -175,7 +184,7 @@ class NetworkForce:
         z = bonds.xi[rows] + (np.take(u, neighbors, axis=0) - np.take(u, source, axis=0))
         try:
             q, values = evaluate_pairs(self.model, kernel, z, bonds.xi_norm[rows],
-                                       None if k is None else k[rows],
+                                       k[rows] if np.ndim(k) else k,
                                        None if inside is None else inside[rows], bonds.mu[rows])
         except SingularConfigurationError:
             raise coincident_bonds(self.model.family, z, source, neighbors) from None
@@ -206,14 +215,13 @@ class NetworkForce:
         if self._pass is None:
             raise RuntimeError("settle needs the kernel call of force at this state")
         (q, f), self._pass = self._pass, None
-        bonds, model = self.bonds, self.model
-        breaker = model.breaker
+        bonds, breaker = self.bonds, self.model.breaker
         if breaker is None or not breaker.active:
             return force
         s = stretch_of(q, bonds.xi_norm, out=q)
-        thresholds = model.breaker_thresholds(bonds.xi_norm)
+        accum = bonds.accum if breaker.mode == "theta-eps" else None
         changed = np.empty(bonds.n_bonds, dtype=bool)
-        if update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds, changed) == 0:
+        if update_breaker(breaker, s, dt, bonds.mu, accum, self.thresholds, changed) == 0:
             return force
         return self._refresh(state, force, f, np.flatnonzero(changed))
 

@@ -177,12 +177,18 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
 
 def reference_factors(model, r):
     """k = model._radial(r) of reference lengths r and their support mask,
-    None when every bond lies inside: all that a pair pass needs of r. A
-    zero r is refused."""
+    None when every bond lies inside: all that a pair pass needs of r. k is
+    one number (0-d) when it is the same for every bond, as a cylindrical
+    micro-modulus with every bond inside makes it: c0 * s is bitwise
+    c0[i] * s, so the pass holds no per-pair copy of a constant. A zero r
+    is refused."""
     if np.any(r == 0.0):
         raise ValueError(f"{model.family}: zero reference separation in bond array")
     inside = in_support(r, model.support_radius)
-    return model._radial(r), (None if inside.all() else inside)
+    k = model._radial(r)
+    if k is not None and k.size and (k == k[0]).all():
+        k = k[0]
+    return k, (None if inside.all() else inside)
 
 
 def evaluate_pairs(model, kernel, z, r, k, inside, mu):

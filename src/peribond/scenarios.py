@@ -135,17 +135,19 @@ def build_fluid_shear(n: int = 24, coefficient: float = None, v0: float = None,
 def _seed_crack(cloud, bonds, y_c, x0, x1):
     """Zero out bonds whose reference segment crosses the seam y = y_c,
     x in [x0, x1]. A point on the seam counts as above it, so a row of
-    points there is cut off from the row below."""
-    pos_i = cloud.positions[bonds.source]
-    pos_j = pos_i + bonds.xi
-    yi = pos_i[:, 1] - y_c
-    yj = pos_j[:, 1] - y_c
-    straddles = (yi < 0.0) != (yj < 0.0)
-    t = np.zeros_like(yi)
-    np.divide(-yi, yj - yi, out=t, where=straddles)
-    x_cross = pos_i[:, 0] + t * (pos_j[:, 0] - pos_i[:, 0])
-    cut = straddles & (x_cross >= x0) & (x_cross <= x1)
-    bonds.mu[cut] = 0.0
+    points there is cut off from the row below. The two ends' heights are
+    the only full-length float arrays: the crossing point is found for the
+    straddling pairs alone."""
+    yi = np.take(cloud.positions[:, 1], bonds.source)
+    yj = yi + bonds.xi[:, 1]
+    yj -= y_c
+    yi -= y_c
+    rows = np.flatnonzero((yi < 0.0) != (yj < 0.0))
+    yi, yj = yi[rows], yj[rows]
+    x_i = cloud.positions[bonds.source[rows], 0]
+    x_j = x_i + bonds.xi[rows, 0]
+    x_cross = x_i + -yi / (yj - yi) * (x_j - x_i)
+    bonds.mu[rows[(x_cross >= x0) & (x_cross <= x1)]] = 0.0
 
 
 def _modulus(preset, cloud, bonds, model, point=0, axis=0):

@@ -18,6 +18,9 @@ once more with `[kernel] micro = triangular` (a bond constant that varies
 with |xi|). Finite-memory fluid-shear runs twice more, with `[kernel]
 family = rod`, `micro = triangular` (a k that varies with |xi|) and with
 `family = nano-membrane` (a force that divides by q, and its own phi).
+Last, the bar runs with `[kernel] family = anti-plane-shear`, `u_star =
+0.0003`: bonds break at their own critical stretch u_star/r, through the
+row-local refresh.
 Each run has `[output] snapshot_every = 100` and writes into a
 temporary directory; the script prints one line per file written, under
 the run's label. Then it builds each perfbench workload at seed 7,
@@ -62,7 +65,9 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
              "[kernel]\nfamily = rod\nmicro = triangular\n"),
             ("fluid-shear-finite-nano-membrane", "fluid-run", "fluid-shear",
              "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"
-             "[kernel]\nfamily = nano-membrane\n"))
+             "[kernel]\nfamily = nano-membrane\n"),
+            ("bar1d-wave-anti-plane-shear", "run", "bar1d-wave",
+             "[kernel]\nfamily = anti-plane-shear\nu_star = 0.0003\n"))
 SEED = 7
 
 
