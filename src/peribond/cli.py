@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 failed checks, 2 configuration errors,
 """
 
 import argparse
+from functools import partial
 import sys
 
 from . import dynamics, fluidpd, outputs
@@ -36,9 +37,11 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="integrate the reference-network dynamics")
     add_config_flags(p_run)
+    p_run.set_defaults(handler=partial(_execute, fluid=False))
 
     p_fluid = sub.add_parser("fluid-run", help="integrate the memory dynamics")
     add_config_flags(p_fluid)
+    p_fluid.set_defaults(handler=partial(_execute, fluid=True))
 
     p_conv = sub.add_parser("convergence",
                             help="horizon-refinement study on the traveling wave")
@@ -46,6 +49,7 @@ def _build_parser():
                         help="comma-separated horizon radii, largest first")
     p_conv.add_argument("--m", type=int, default=4,
                         help="points per horizon radius (delta / h)")
+    p_conv.set_defaults(handler=_convergence)
 
     p_check = sub.add_parser("kernel-check",
                              help="randomized bond-force axiom sweep")
@@ -53,10 +57,12 @@ def _build_parser():
                          help="kernel family tag, or 'all'")
     p_check.add_argument("--samples", type=int, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
+    p_check.set_defaults(handler=_kernel_check)
 
     p_print = sub.add_parser("print-config",
                              help="echo the fully defaulted, normalized config")
     add_config_flags(p_print)
+    p_print.set_defaults(handler=_print_config)
     return parser
 
 
@@ -140,22 +146,15 @@ def _kernel_check(args) -> int:
     return 1 if failed else 0
 
 
+def _print_config(args) -> int:
+    sys.stdout.write(print_config(_load_config(args)))
+    return 0
+
+
 def cli(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _execute(args, fluid=False)
-        if args.command == "fluid-run":
-            return _execute(args, fluid=True)
-        if args.command == "convergence":
-            return _convergence(args)
-        if args.command == "kernel-check":
-            return _kernel_check(args)
-        if args.command == "print-config":
-            sys.stdout.write(print_config(_load_config(args)))
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -165,7 +164,6 @@ def cli(argv) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 def main():

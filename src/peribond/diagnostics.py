@@ -178,25 +178,26 @@ class ConvergenceResult:
         return "\n".join(lines)
 
 
-def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4, **scenario_kwargs) -> ConvergenceResult:
+def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
     """Run the periodic traveling-wave bar at several horizons, fixed m = delta/h.
 
     Each run is compared against the classical solution u(x, t) =
     A sin(k (x - c t)) whose wave speed derives from the bond network's own
-    linearized modulus. Non-monotone error sequences are reported, never
-    suppressed. Extra keyword arguments reach the bar builder (amplitude,
-    periods, safety, n_steps).
+    linearized modulus, on the bar1d-wave table with a smaller step. Fewer
+    than two horizons, or one given twice, is a ConfigError. Non-monotone
+    error sequences are reported, never suppressed.
     """
     from .scenarios import build_bar_wave
 
     if len(deltas) < 2:
         raise ConfigError("convergence study needs at least two horizons")
-    # the study isolates the horizon (spatial) error; a small step keeps the
-    # integrator's phase error out of the measurement
-    scenario_kwargs.setdefault("safety", 0.2)
+    if len(set(deltas)) < len(deltas):
+        raise ConfigError(f"deltas: each horizon must appear once, got {tuple(deltas)}")
     errors = []
     for delta in deltas:
-        setup = build_bar_wave(delta=delta, m=m, **scenario_kwargs)
+        # the study isolates the horizon (spatial) error; a small step keeps
+        # the integrator's phase error out of the measurement
+        setup = build_bar_wave(delta=delta, m=m, safety=0.2)
         result = dynamics.run(
             setup.cloud,
             setup.bonds,

@@ -18,7 +18,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, SingularConfigurationError
-from .kernels import lengths
+from .kernels import SUPPORT_SLACK, in_support, lengths
 
 PARTIAL_VOLUME_MODES = ("linear", "none")
 
@@ -261,11 +261,11 @@ def neighbor_pairs(positions, delta, box, periodic):
     in the tree's own pair array. Past 2^31 points a key would need more
     than 63 bits, and a ValueError naming the point count is raised.
 
-    The acceptance test carries a 1e-9 relative slack: on a lattice, pairs at
-    exactly delta round a few ulps either way depending on where the points
-    sit, and cutting some of them would break translation invariance. The
-    partial-volume taper makes the marginal weight continuous there, so the
-    slack perturbs weights by O(1e-9) at most.
+    The acceptance test is kernels.in_support, with its 1e-9 relative slack:
+    on a lattice, pairs at exactly delta round a few ulps either way
+    depending on where the points sit, and cutting some of them would break
+    translation invariance. The partial-volume taper makes the marginal
+    weight continuous there, so the slack perturbs weights by O(1e-9) at most.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
@@ -284,7 +284,7 @@ def neighbor_pairs(positions, delta, box, periodic):
         column[column == boxsize[axis]] = 0.0
     tree = cKDTree(wrapped, boxsize=boxsize if boxsize.any() else None,
                    balanced_tree=False)
-    pairs = tree.query_pairs(delta * (1.0 + 1e-9) + 1e-300, output_type="ndarray")
+    pairs = tree.query_pairs(delta * SUPPORT_SLACK + 1e-300, output_type="ndarray")
     pairs = pairs.astype(np.int64, copy=False)
     keys = pairs[:, 0] << bits
     keys |= pairs[:, 1]
@@ -296,7 +296,7 @@ def neighbor_pairs(positions, delta, box, periodic):
     diff -= np.take(positions, pairs[:, 0], axis=0)
     minimum_image(diff, box, periodic)
     dist = lengths(diff)
-    keep = dist <= delta * (1.0 + 1e-9)
+    keep = in_support(dist, delta)
     if keep.all():
         return pairs, diff, dist
     return pairs[keep], diff[keep], dist[keep]

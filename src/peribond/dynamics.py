@@ -216,7 +216,7 @@ class NetworkForce:
             raise RuntimeError("settle needs the kernel call of force at this state")
         (q, f), self._pass = self._pass, None
         bonds, breaker = self.bonds, self.model.breaker
-        if breaker is None or not breaker.active:
+        if not breaker.active:
             return force
         s = stretch_of(q, bonds.xi_norm, out=q)
         accum = bonds.accum if breaker.mode == "theta-eps" else None

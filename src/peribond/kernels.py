@@ -11,6 +11,7 @@ stretch s = (q - r)/r, unit vector n = (xi + eta)/q.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 import math
 
 import numpy as np
@@ -158,7 +159,7 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
     bond already at zero does not count again. changed, when given, is a
     bool array shaped like mu that receives which bonds those are.
     """
-    if breaker is None or not breaker.active:
+    if not breaker.active:
         return 0
     s0 = breaker.s0 if thresholds is None else thresholds
     if changed is None:
@@ -176,15 +177,15 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
 
 
 def reference_factors(model, r):
-    """k = model._radial(r) of reference lengths r and their support mask,
-    None when every bond lies inside: all that a pair pass needs of r. k is
-    one number (0-d) when it is the same for every bond, as a cylindrical
-    micro-modulus with every bond inside makes it: c0 * s is bitwise
-    c0[i] * s, so the pass holds no per-pair copy of a constant. A zero r
-    is refused."""
+    """k = model._radial(r) of reference lengths r and their mask of support
+    within model.delta, None when every bond lies inside: all that a pair
+    pass needs of r. k is one number (0-d) when it is the same for every
+    bond, as a cylindrical micro-modulus with every bond inside makes it:
+    c0 * s is bitwise c0[i] * s, so the pass holds no per-pair copy of a
+    constant. A zero r is refused."""
     if np.any(r == 0.0):
         raise ValueError(f"{model.family}: zero reference separation in bond array")
-    inside = in_support(r, model.support_radius)
+    inside = in_support(r, model.delta)
     k = model._radial(r)
     if k is not None and k.size and (k == k[0]).all():
         k = k[0]
@@ -215,14 +216,14 @@ class KernelModel:
     the force magnitude per unit deformed length; _phi(q, r, k, mu); and
     _stiff0(r), the signed d|f|/dq at q = r. k = _radial(r) is the family's
     factor that depends on r alone (the micro-modulus c(r) for PMB and rod,
-    None for the others). Families without breakage ignore mu. force and
-    potential shape the bond arrays and run the pair pass that
-    dynamics.NetworkForce runs too (reference_factors, evaluate_pairs); it
-    zeroes every bond outside support_radius (by default the family's delta).
+    None for the others). Families without breakage ignore mu and keep the
+    inactive BondBreaker(). force and potential shape the bond arrays and
+    run the pair pass that dynamics.NetworkForce runs too (reference_factors,
+    evaluate_pairs); it zeroes every bond outside the family's horizon delta.
     """
 
     needs_direction = False  # True when the force divides by the deformed length
-    breaker = None
+    breaker = BondBreaker()
 
     def force(self, xi, eta, mu=None):
         z, r, single = _as_bond_arrays(xi, eta)
@@ -239,11 +240,7 @@ class KernelModel:
     def stiffness0(self, xi_norm):
         """The signed bond stiffness d|f|/dq at the undeformed state q = r."""
         r = np.asarray(xi_norm, dtype=float)
-        return np.where(in_support(r, self.support_radius), self._stiff0(r), 0.0)
-
-    @property
-    def support_radius(self) -> float:
-        return self.delta
+        return np.where(in_support(r, self.delta), self._stiff0(r), 0.0)
 
     def validate_dim(self, dim):
         return None
@@ -254,7 +251,7 @@ class KernelModel:
 
     def gradient_exclusion_mask(self, xi, eta, step):
         """Samples to skip in FD gradient checks (force discontinuities)."""
-        return None
+        return np.zeros(len(xi), dtype=bool)
 
     def _radial(self, r):
         return None
@@ -286,7 +283,7 @@ class AntiPlaneShear(KernelModel):
     def breaker(self):
         if math.isfinite(self.u_star):
             return BondBreaker("critical-stretch", s0=1.0)  # s0 comes per bond
-        return None
+        return BondBreaker()
 
     def breaker_thresholds(self, xi_norm):
         return self.u_star / np.asarray(xi_norm, dtype=float)
@@ -352,7 +349,7 @@ class PMB(KernelModel):
     force = KernelModel.force
 
     @property
-    def support_radius(self):
+    def delta(self):
         return self.micro.delta
 
     def _radial(self, r):
@@ -378,7 +375,7 @@ class ConstructiveRod(KernelModel):
     needs_direction = True
 
     @property
-    def support_radius(self):
+    def delta(self):
         return self.micro.delta
 
     def _radial(self, r):
@@ -588,7 +585,7 @@ def default_models(delta: float = 1.0, dim: int = 3) -> dict:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Result of the kernel axiom sweep for one family."""
+    """Result of the kernel axiom sweep for one family, against fixed tolerances."""
 
     family: str
     n_samples: int
@@ -596,9 +593,9 @@ class AxiomReport:
     collinearity_max: float
     gradient_max: float
     n_excluded: int
-    antisymmetry_tol: float = 1e-10
-    collinearity_tol: float = 1e-12
-    gradient_tol: float = 1e-6
+    antisymmetry_tol: ClassVar[float] = 1e-10
+    collinearity_tol: ClassVar[float] = 1e-12
+    gradient_tol: ClassVar[float] = 1e-6
 
     @property
     def passed(self) -> bool:
@@ -641,17 +638,20 @@ def check_kernel_axioms(model, dim, n_samples=1000, seed=0):
     """Randomized verification of the structural bond-force axioms.
 
     Samples reference separations with |xi| in (0.1 L, L) and displacements
-    with |eta| <= 0.5 |xi| (L is the model's support radius, or 1 when that
+    with |eta| <= 0.5 |xi| (L is the model's horizon delta, or 1 when that
     is infinite). Checks antisymmetry f(-xi, -eta) = -f(xi, eta), collinearity
     of f with xi + eta, and the match between f and the central-difference
     eta-gradient of the potential (step 1e-6 max(1, |eta|)). Samples whose FD
     stencil straddles a force discontinuity are excluded from the gradient
-    check and counted in the report. n_samples below 1 is a ConfigError.
+    check and counted in the report. An n_samples below 1 or a negative seed
+    is a ConfigError.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples: must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    scale = model.support_radius if math.isfinite(model.support_radius) else 1.0
+    scale = model.delta if math.isfinite(model.delta) else 1.0
     r = rng.uniform(0.1 * scale, scale, n_samples)
     xi = r[:, None] * _unit_vectors(rng, n_samples, dim)
     eta_mag = rng.uniform(0.0, 0.5, n_samples) * r
@@ -672,8 +672,6 @@ def check_kernel_axioms(model, dim, n_samples=1000, seed=0):
             2.0 * step
         )
     exclude = model.gradient_exclusion_mask(xi, eta, step)
-    if exclude is None:
-        exclude = np.zeros(n_samples, dtype=bool)
     err = np.linalg.norm(f - grad, axis=1)
     force_scale = max(float(np.max(np.linalg.norm(f, axis=1))), 1e-300)
     kept = ~exclude

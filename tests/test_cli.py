@@ -221,6 +221,13 @@ def test_kernel_check(capsys):
     assert "unknown kernel family" in capsys.readouterr().err
 
 
+def test_kernel_check_refuses_a_negative_seed(capsys):
+    assert cli(["kernel-check", "--seed", "-1"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: seed: must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_kernel_check_refuses_no_samples(capsys, samples):
     assert cli(["kernel-check", "--samples", samples]) == 2
@@ -252,3 +259,20 @@ def test_convergence_command(capsys):
     assert "fitted rate" in out
     assert cli(["convergence", "--deltas", "0.4;0.2"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err
+
+
+def test_convergence_refuses_a_repeated_horizon(capsys):
+    assert cli(["convergence", "--deltas", "0.2,0.2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: deltas: each horizon must appear once, got (0.2, 0.2)\n"
+
+
+def test_an_os_error_on_stdout_exits_3(monkeypatch, capsys):
+    class ClosedStdout:
+        def write(self, text):
+            raise OSError("stdout closed")
+
+    monkeypatch.setattr(cli_module.sys, "stdout", ClosedStdout())
+    assert cli(["print-config", "--preset", "bar1d-wave"]) == 3
+    assert capsys.readouterr().err == "io error: stdout closed\n"

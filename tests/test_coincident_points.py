@@ -4,8 +4,8 @@ A pair of coincident reference points has no bond direction: pair_network
 raises SingularConfigurationError naming the two points, and build_bonds
 turns that into a ConfigError, since the reference grid comes from the
 config. Points that meet in the deformed shape stop a kernel that divides by
-the deformed length; internal_force then names the bond pairs, not the rows
-of its pair arrays.
+the deformed length; internal_force and NetworkForce (the operator of run)
+then name the bond pairs, not the rows of their pair arrays.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 
 from peribond import HorizonConfig, build_bonds, build_grid
 from peribond.discretization import pair_network
-from peribond.dynamics import internal_force
+from peribond.dynamics import NetworkForce, internal_force, run, zero_state
 from peribond.errors import ConfigError, SingularConfigurationError
 from peribond.kernels import default_models
 
@@ -61,3 +61,16 @@ def test_internal_force_names_at_most_eight_pairs():
     expected = f"nano-fiber: coincident deformed points on bond(s) {first}"
     with pytest.raises(SingularConfigurationError, match=f"^{re.escape(expected)}$"):
         internal_force(cloud, bonds, model, u)
+
+
+def test_network_force_names_the_coincident_bond_pair():
+    cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
+    bonds = build_bonds(cloud, HorizonConfig(0.3))
+    state = zero_state(cloud)
+    state.u[2] = cloud.positions[1] - cloud.positions[2]  # point 2 lands on point 1
+    model = default_models(delta=0.3, dim=1)["pmb"]
+    expected = r"^pmb: coincident deformed points on bond\(s\) \[\(1, 2\)\]$"
+    with pytest.raises(SingularConfigurationError, match=expected):
+        run(cloud, bonds, model, state, 0.01, 1)
+    with pytest.raises(SingularConfigurationError, match=expected):
+        NetworkForce(cloud, bonds, model).potential(state)

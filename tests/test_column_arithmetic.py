@@ -59,7 +59,7 @@ def broadcast_force(model, xi, eta, mu=None):
     xi, eta = np.atleast_2d(xi), np.atleast_2d(eta)
     z, r = xi + eta, lengths(xi)
     coef = model._coef(lengths(z), r, model._radial(r), 1.0 if mu is None else mu)
-    z *= np.where(in_support(r, model.support_radius), coef, 0.0)[:, None]
+    z *= np.where(in_support(r, model.delta), coef, 0.0)[:, None]
     return z[0] if single else z
 
 

@@ -245,7 +245,7 @@ def test_probe_clean_state_flags_nothing():
 
 
 def test_delta_convergence_refines():
-    result = delta_convergence(deltas=(0.4, 0.2), m=2, periods=0.5)
+    result = delta_convergence(deltas=(0.4, 0.2), m=2)
     assert result.monotone
     assert result.errors[1] < result.errors[0]
     assert result.rate > 1.0
@@ -255,3 +255,11 @@ def test_delta_convergence_refines():
 def test_delta_convergence_needs_two_horizons():
     with pytest.raises(ConfigError, match="needs at least two horizons"):
         delta_convergence(deltas=(0.2,))
+
+
+def test_delta_convergence_refuses_a_repeated_horizon():
+    # one horizon given twice leaves no line to fit
+    with pytest.raises(ConfigError, match=r"^deltas: each horizon must appear once"):
+        delta_convergence(deltas=(0.2, 0.2))
+    with pytest.raises(ConfigError, match=r"got \(0.4, 0.2, 0.4\)$"):
+        delta_convergence(deltas=(0.4, 0.2, 0.4))

@@ -145,7 +145,7 @@ def test_stiffness0_is_the_slope_of_the_force_magnitude(dim):
     models = list(default_models(1.0, dim).values())
     models.append(NanoFiber(c=0.9, g=1.2, vdw_a=0.3, vdw_b=0.7, delta=0.25))
     for model in models:
-        r = np.linspace(0.3, 0.95, 14) * model.support_radius
+        r = np.linspace(0.3, 0.95, 14) * model.delta
         step = 1e-6 * r
         slope = (magnitude_along_n(model, r, r + step, dim)
                  - magnitude_along_n(model, r, r - step, dim)) / (2.0 * step)

@@ -64,10 +64,10 @@ def test_anti_plane_shear_values_and_cutoff():
     assert np.allclose(capped.force(xi, eta), 0.0)
     assert capped.potential(xi, eta) == 0.0
     # the cutoff doubles as a per-bond critical stretch s0 = u_star / r
-    assert capped.breaker is not None
+    assert capped.breaker.active
     assert np.allclose(capped.breaker_thresholds(np.array([2.0, 4.0])),
                        [0.25, 0.125])
-    assert model.breaker is None
+    assert not model.breaker.active
 
 
 def test_quadratic_potential_values():
@@ -268,7 +268,6 @@ def test_update_breaker_counts_changed_bonds():
     mu = np.ones(3)
     accum = np.zeros(3)
     assert update_breaker(BondBreaker(), stretch, 0.01, mu, accum) == 0
-    assert update_breaker(None, stretch, 0.01, mu, accum) == 0
     assert np.all(mu == 1.0)
     critical = BondBreaker("critical-stretch", s0=0.1)
     assert update_breaker(critical, stretch, 0.01, mu, accum) == 2
@@ -353,3 +352,8 @@ def test_axiom_sweep_excludes_cutoff_straddlers():
     model = AntiPlaneShear(c=1.0, u_star=0.2, delta=1.0)
     report = check_kernel_axioms(model, dim=2, n_samples=500, seed=1)
     assert report.passed, report.summary()
+
+
+def test_axiom_sweep_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match=r"^seed: must be non-negative, got -1$"):
+        check_kernel_axioms(default_models()["pmb"], dim=3, seed=-1)

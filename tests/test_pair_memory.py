@@ -45,7 +45,7 @@ def per_pair_k_operator(cloud, bonds, model):
 def per_pair_k_force(model, xi, eta, mu):
     """model.force with k as a per-pair array, through the same pair pass."""
     r = np.linalg.norm(xi, axis=1)
-    inside = in_support(r, model.support_radius)
+    inside = in_support(r, model.delta)
     z = xi + eta
     _, coef = evaluate_pairs(model, model._coef, z, r, model._radial(r),
                              None if inside.all() else inside, mu)

@@ -170,7 +170,7 @@ def test_network_force_forms_the_reference_data_once_and_keeps_the_gate(
     cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(False, False))
     bonds = build_bonds(cloud, HorizonConfig(3 * 0.125))
     model = default_models(delta=0.2, dim=2)[family]
-    assert np.any(bonds.xi_norm > model.support_radius)
+    assert np.any(bonds.xi_norm > model.delta)
     law = kernels.BondBreaker(breaker, s0=0.02, eps=0.05)
     if any(field.name == "breaker" for field in dataclasses.fields(model)):
         model = dataclasses.replace(model, breaker=law)
@@ -196,7 +196,7 @@ def test_network_force_forms_the_reference_data_once_and_keeps_the_gate(
     assert calls == [bonds.xi.shape]  # the deformed lengths only
     f = op._pass[1]
     assert np.array_equal(force, internal_force(cloud, bonds, model, state.u))
-    outside = bonds.xi_norm > model.support_radius * kernels.SUPPORT_SLACK
+    outside = bonds.xi_norm > model.delta * kernels.SUPPORT_SLACK
     assert np.all(f[outside] == 0.0) and np.any(f[~outside] != 0.0)
     assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
     mu = bonds.mu.copy()

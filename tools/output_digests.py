@@ -23,7 +23,11 @@ Last, the bar runs with `[kernel] family = anti-plane-shear`, `u_star =
 row-local refresh.
 Each run has `[output] snapshot_every = 100` and writes into a
 temporary directory; the script prints one line per file written, under
-the run's label. Then it builds each perfbench workload at seed 7,
+the run's label. Then it prints one line for the stdout of each of
+`kernel-check --samples 200`, `convergence --deltas 0.4,0.2 --m 2` and
+`print-config --preset P` for the three presets: the axiom table, the
+horizon study and the normalized config. Then it builds each perfbench
+workload at seed 7,
 integrates it, and prints one line each for the final u, v and every
 series column. Run it on two commits and diff the two listings: identical
 outputs print identical lines.
@@ -68,6 +72,12 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
              "[kernel]\nfamily = nano-membrane\n"),
             ("bar1d-wave-anti-plane-shear", "run", "bar1d-wave",
              "[kernel]\nfamily = anti-plane-shear\nu_star = 0.0003\n"))
+# commands whose stdout is digested whole
+STDOUT_RUNS = (("kernel-check", "--samples", "200"),
+               ("convergence", "--deltas", "0.4,0.2", "--m", "2"),
+               ("print-config", "--preset", "bar1d-wave"),
+               ("print-config", "--preset", "plate2d-precrack"),
+               ("print-config", "--preset", "fluid-shear"))
 SEED = 7
 
 
@@ -95,6 +105,16 @@ def cli_lines(workdir):
                 yield f"{label}/{name} {digest(fh.read())}"
 
 
+def stdout_lines():
+    for argv in STDOUT_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli(list(argv))
+        if status != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {status}")
+        yield f"stdout {' '.join(argv)} {digest(out.getvalue().encode())}"
+
+
 def workload_lines():
     for name, workload in workloads.WORKLOADS.items():
         result = workloads.integrate(workload.build(SEED), None)
@@ -109,6 +129,8 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         for line in cli_lines(workdir):
             print(line)
+    for line in stdout_lines():
+        print(line)
     for line in workload_lines():
         print(line)
 
