@@ -185,14 +185,26 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
     A sin(k (x - c t)) whose wave speed derives from the bond network's own
     linearized modulus, on the bar1d-wave table with a smaller step. Fewer
     than two horizons, or one given twice, is a ConfigError. Non-monotone
-    error sequences are reported, never suppressed.
+    error sequences are reported, never suppressed. A horizon whose spacing
+    delta / m does not tile the bar is a ConfigError naming deltas, raised
+    before the first run.
     """
-    from .scenarios import build_bar_wave
+    from .config import PRESET_CONFIGS
+    from .discretization import grid_counts
+    from .scenarios import bar_wave_spacing, build_bar_wave
 
     if len(deltas) < 2:
         raise ConfigError("convergence study needs at least two horizons")
     if len(set(deltas)) < len(deltas):
         raise ConfigError(f"deltas: each horizon must appear once, got {tuple(deltas)}")
+    bar = PRESET_CONFIGS["bar1d-wave"]["domain"]["box"]
+    for delta in deltas:
+        h = bar_wave_spacing(delta, m)
+        try:
+            grid_counts(bar, h)
+        except ConfigError:
+            raise ConfigError(f"deltas: horizon {delta} at m = {m} gives spacing {h}, "
+                              f"which does not tile the bar of length {bar[0]}") from None
     errors = []
     for delta in deltas:
         # the study isolates the horizon (spatial) error; a small step keeps

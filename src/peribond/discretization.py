@@ -312,14 +312,23 @@ class PairBuffers:
     than m, so a steady pair count allocates nothing. Earlier views keep
     their memory, but the next user of the buffers overwrites it. A reserve
     within the capacity reallocates nothing, so a search and a force share one.
+
+    search is None or (key, xi, dist) of the last directed_pairs call made
+    with these buffers, whose source and neighbors are int columns 0 and 1.
+    The key is the exact bits of the call's positions, delta, box and
+    periodic flags. A directed_pairs call with another key drops it before
+    searching, and so does a reserve that reallocates, since the index
+    columns are about to go.
     """
 
     def __init__(self, int_columns, float_columns):
         self._ints = np.empty((int_columns, 0), dtype=np.int64)
         self._floats = np.empty((float_columns, 0))
+        self.search = None
 
     def reserve(self, m):
         if m > self._floats.shape[1]:
+            self.search = None
             capacity = m + m // 4
             self._ints = np.empty((self._ints.shape[0], capacity), dtype=np.int64)
             self._floats = np.empty((self._floats.shape[0], capacity))
@@ -344,14 +353,28 @@ def directed_pairs(positions, delta, box, periodic, buffers=None):
     the reversed half, as fluid_force does. source and neighbors are int
     columns 0 and 1 of buffers, a PairBuffers with 2 int columns (fresh ones
     when none are given), valid until its next use.
+
+    buffers hold their last search (PairBuffers.search). A call whose
+    positions, delta, box and periodic flags are bitwise those of the held
+    search returns it without searching: the same xi and dist arrays, which
+    callers only read, and the index columns as they stand. -0.0 and 0.0 are
+    different bits, so they are different keys.
     """
-    pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
-    p = dist.size
-    (source, neighbors), _ = (
-        PairBuffers(2, 0) if buffers is None else buffers).reserve(2 * p)
-    source[:p], source[p:] = pairs[:, 1], pairs[:, 0]
-    neighbors[:p], neighbors[p:] = pairs[:, 0], pairs[:, 1]
-    return source, neighbors, diff, dist
+    positions = np.asarray(positions, dtype=float)
+    buffers = PairBuffers(2, 0) if buffers is None else buffers
+    key = (positions.shape, positions.tobytes(), np.float64(delta).tobytes(),
+           np.asarray(box, dtype=float).tobytes(), np.asarray(periodic, dtype=bool).tobytes())
+    if buffers.search is None or buffers.search[0] != key:
+        buffers.search = None  # so the old search never lives beside the new one
+        pairs, diff, dist = neighbor_pairs(positions, delta, box, periodic)
+        p = dist.size
+        (source, neighbors), _ = buffers.reserve(2 * p)
+        source[:p], source[p:] = pairs[:, 1], pairs[:, 0]
+        neighbors[:p], neighbors[p:] = pairs[:, 0], pairs[:, 1]
+        buffers.search = key, diff, dist
+    _, xi, dist = buffers.search
+    (source, neighbors), _ = buffers.reserve(2 * dist.size)
+    return source, neighbors, xi, dist
 
 
 def _scatter_operator(source, neighbors, weights, reverse_weights, n_points):

@@ -128,8 +128,9 @@ def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon:
 
 def fluid_workspace(dim):
     """The per-pair buffers of fluid_force in dim dimensions: its search's
-    source and neighbors (directed_pairs), and its own scratch, weights,
-    dot and the dv and f columns of every axis, in the same 2P entries."""
+    source and neighbors (directed_pairs, which also holds the search in
+    them), and its own scratch, weights, dot and the dv and f columns of
+    every axis, in the same 2P entries."""
     return PairBuffers(2, 2 * dim + 3)
 
 
@@ -140,8 +141,9 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     The second kernel argument is the velocity difference scaled by the
     memory coefficient, so the force depends on velocity differences only
     (Galilean invariant by construction). velocities optionally overrides
-    state.velocities. Every call searches the current shape
-    (directed_pairs), also a second call at one shape.
+    state.velocities. The current shape's pairs come from directed_pairs
+    through the workspace, which holds its last search: a second call at one
+    shape, with other velocities, reads the held search instead of searching.
 
     Each unordered pair is evaluated once: the search's xi and dist hold the
     P pairs as found (source i < neighbor j: directed rows P .. 2P - 1), and
@@ -153,11 +155,13 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     pairs' order, as a kernel call on every row would.
 
     workspace, a fluid_workspace of the cloud's dimension, holds the search's
-    index columns and the per-pair float columns; without one a fresh
-    workspace serves the call. The result is a fresh (N, dim) array either
-    way, never a view into the workspace. Pair vectors are handled one column
-    per axis; the dot product is a running column sum, the same additions in
-    the same order as np.sum(dv * n, axis=1).
+    index columns, xi and dist, and the per-pair float columns; without one a
+    fresh workspace serves the call, which then always searches. xi and dist
+    are only read, so a held search stays a fresh search's bits. The result
+    is a fresh (N, dim) array either way, never a view into the workspace.
+    Pair vectors are handled one column per axis; the dot product is a
+    running column sum, the same additions in the same order as
+    np.sum(dv * n, axis=1).
     """
     v = state.velocities if velocities is None else velocities
     dim = v.shape[1]
@@ -221,12 +225,12 @@ class MemoryForce:
     settled: it lives for one shape, carries no breaker state, and its last
     pass goes with it. Only finite memory's force is carried over to the
     next step: settle returns None otherwise. The zero-memory force depends
-    on velocity, so each shape is searched twice: at the end of one step and
-    at the start of the next. (A search reused within the step waits on the
-    benchmark's tracing, which counts both searches.)
+    on velocity, so each shape's force is evaluated twice: at the end of one
+    step and at the start of the next.
     Zero memory keeps one fluid_workspace for the operator's lifetime: its
-    force calls refill the directed pairs' index columns (source,
-    neighbors) and the force columns instead of allocating them per call.
+    force calls refill the force columns instead of allocating them per call,
+    and the second call at a shape reuses the search the workspace holds
+    (directed_pairs), so each shape is searched once.
     """
 
     def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,

@@ -72,6 +72,12 @@ def _resolution(keyword, value, kind):
     raise ConfigError(f"{keyword}: must be {KINDS[kind].words} above 0, got {value!r}")
 
 
+def bar_wave_spacing(delta, m):
+    """The grid spacing delta / m of build_bar_wave, or a ConfigError naming
+    delta or m when either is not a positive number."""
+    return check_value("horizon", "delta", delta) / _resolution("m", m, "float")
+
+
 def build_bar_wave(delta: float = 0.1, m: int = 4, amplitude: float = None,
                    periods: float = None, safety: float = None,
                    n_steps: int = None) -> SimSetup:
@@ -83,7 +89,7 @@ def build_bar_wave(delta: float = 0.1, m: int = 4, amplitude: float = None,
     domain traversal; dt divides it exactly. n_steps=None runs `periods`
     periods. Every other value is the bar1d-wave table's.
     """
-    h = check_value("horizon", "delta", delta) / _resolution("m", m, "float")
+    h = bar_wave_spacing(delta, m)
     return _preset_setup("bar1d-wave", {
         "domain": {"h": h},
         "horizon": {"delta": delta},

@@ -268,6 +268,14 @@ def test_convergence_refuses_a_repeated_horizon(capsys):
     assert printed.err == "config error: deltas: each horizon must appear once, got (0.2, 0.2)\n"
 
 
+def test_convergence_names_the_arguments_of_a_horizon_that_does_not_tile(capsys):
+    assert cli(["convergence", "--deltas", "0.4,0.2", "--m", "1"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("config error: deltas: horizon 0.4 at m = 1 ")
+    assert "[domain]" not in printed.err
+
+
 def test_an_os_error_on_stdout_exits_3(monkeypatch, capsys):
     class ClosedStdout:
         def write(self, text):

@@ -9,6 +9,7 @@ from peribond import (
     HorizonConfig,
     build_bonds,
     build_grid,
+    scenarios,
     zero_state,
 )
 from peribond.diagnostics import (
@@ -263,3 +264,16 @@ def test_delta_convergence_refuses_a_repeated_horizon():
         delta_convergence(deltas=(0.2, 0.2))
     with pytest.raises(ConfigError, match=r"got \(0.4, 0.2, 0.4\)$"):
         delta_convergence(deltas=(0.4, 0.2, 0.4))
+
+
+def test_delta_convergence_names_a_horizon_that_does_not_tile_the_bar(monkeypatch):
+    # 0.3 / 2 = 0.15 does not tile the unit bar: refused in the study's own
+    # terms, not as the [domain] h of a table the caller never wrote, and
+    # before the 0.2 run that comes first
+    built = []
+    monkeypatch.setattr(scenarios, "build_bar_wave", lambda **kw: built.append(kw))
+    with pytest.raises(ConfigError) as caught:
+        delta_convergence(deltas=(0.2, 0.3), m=2)
+    assert str(caught.value) == ("deltas: horizon 0.3 at m = 2 gives spacing 0.15, "
+                                 "which does not tile the bar of length 1.0")
+    assert built == []

@@ -21,8 +21,8 @@ from peribond import (
     step_verlet,
     zero_state,
 )
-from peribond import dynamics, fluidpd, kernels
-from peribond.discretization import directed_pairs
+from peribond import discretization, dynamics, fluidpd, kernels
+from peribond.discretization import directed_pairs, neighbor_pairs
 from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
 from peribond.fluidpd import FluidState, MemoryForce, fluid_state
 from peribond.kernels import Convolution, MicroModulus, PMB, default_models
@@ -253,6 +253,55 @@ def test_the_search_and_the_force_share_one_workspace(monkeypatch):
         assert np.array_equal(got, fluid_force(cloud, fs, memory, horizon))
         sizes.append(source.size)
     assert 0 < sizes[1] < sizes[0]
+
+
+def test_the_fluid_force_writes_nothing_into_the_held_search():
+    # both fluid kernels read xi and dist from the search the workspace
+    # holds, a second call at one shape among them; afterwards both are
+    # still bitwise a fresh search's
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, False))
+    horizon = HorizonConfig(0.375)
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, horizon.delta))
+    rng = np.random.default_rng(5)
+    state = zero_state(cloud)
+    state.u[:] = 0.01 * rng.standard_normal(state.u.shape)
+    state.v[:] = rng.standard_normal(state.v.shape)
+    fs = fluid_state(cloud, state)
+    workspace = fluidpd.fluid_workspace(cloud.dim)
+    for fluid_kernel in fluidpd.FLUID_KERNELS:
+        memory = MemoryConfig(mode="zero", coefficient=0.5, fluid_kernel=fluid_kernel)
+        got = fluid_force(cloud, fs, memory, horizon, model=model, workspace=workspace)
+        assert np.array_equal(got, fluid_force(cloud, fs, memory, horizon, model=model))
+    _, xi, dist = workspace.search
+    _, _, want_xi, want_dist = directed_pairs(fs.positions, horizon.delta, cloud.box,
+                                              cloud.periodic)
+    assert xi.tobytes() == want_xi.tobytes() and dist.tobytes() == want_dist.tobytes()
+
+
+def test_a_zero_memory_run_searches_each_shape_once(monkeypatch):
+    # fluidpd still asks for the pairs twice per step; the workspace answers
+    # the second request at a shape from the search it holds
+    cloud = build_grid((1.0, 1.0), 0.125, 1.0, periodic=(True, True))
+    asked, searched = [], []
+
+    def counted_directed(*args, **kwargs):
+        asked.append(args[0].copy())
+        return directed_pairs(*args, **kwargs)
+
+    def counted_search(*args):
+        searched.append(args[0].copy())
+        return neighbor_pairs(*args)
+    monkeypatch.setattr(fluidpd, "directed_pairs", counted_directed)
+    monkeypatch.setattr(discretization, "neighbor_pairs", counted_search)
+    state = zero_state(cloud)
+    state.v[:, 0] = np.sin(2.0 * math.pi * cloud.positions[:, 1])
+    n_steps = 6
+    run_fluid(cloud, HorizonConfig(0.375), None, MemoryConfig(mode="zero", coefficient=0.5),
+              state, 0.01, n_steps)
+    assert len(asked) == 2 * n_steps and len(searched) == n_steps + 1
+    shapes = [asked[0]] + [x for x, y in zip(asked[1:], asked) if x.tobytes() != y.tobytes()]
+    assert len(shapes) == n_steps + 1
+    assert all(np.array_equal(x, y) for x, y in zip(shapes, searched))
 
 
 def test_run_fluid_refuses_infinite_memory():

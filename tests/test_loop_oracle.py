@@ -64,7 +64,7 @@ def reference_solid_run(cloud, bonds, model, state, dt, n_steps, load, record_ev
         state.t = t_new
         state.step += 1
         breaker = model.breaker
-        if breaker is not None and breaker.active:
+        if breaker.active:
             s = bond_stretches(bonds, state.u)
             thresholds = model.breaker_thresholds(bonds.xi_norm)
             if update_breaker(breaker, s, dt, bonds.mu, bonds.accum, thresholds) > 0:

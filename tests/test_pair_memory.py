@@ -114,7 +114,7 @@ def test_only_theta_eps_makes_the_accumulator():
     assert "accum" not in vars(plate.bonds)
 
     bar = build_bar_wave()
-    assert bar.model.breaker is None or not bar.model.breaker.active
+    assert not bar.model.breaker.active
     run(bar.cloud, bar.bonds, bar.model, bar.state, bar.dt, bar.n_steps)
     assert "accum" not in vars(bar.bonds)
 

@@ -12,7 +12,7 @@ breaker's row-local force refresh against a fresh force. A point's bonds,
 read off its operator row, are checked against two scans of all pairs. The
 neighbor search itself is checked against an O(N^2) minimum-image brute force,
 and the directed search against the pairs it doubles and the two-key lexsort
-it replaced.
+it replaced; a search held in its buffers against a fresh one.
 """
 
 import dataclasses
@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
-from peribond import HorizonConfig, build_bonds, build_grid, dynamics, kernels
+from peribond import HorizonConfig, build_bonds, build_grid, discretization, dynamics, kernels
 from peribond.discretization import (
+    PairBuffers,
     directed_pairs,
     neighbor_pairs,
     partial_volume_factor,
@@ -201,7 +202,7 @@ def test_network_force_forms_the_reference_data_once_and_keeps_the_gate(
     assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
     mu = bonds.mu.copy()
     force = op.settle(state, 1.0, force)
-    assert model.breaker is None or not model.breaker.active or np.any(bonds.mu != mu)
+    assert not model.breaker.active or np.any(bonds.mu != mu)
     assert np.array_equal(force, internal_force(cloud, bonds, model, state.u))
     assert op.potential(state) == potential_energy(cloud, bonds, model, state.u)
 
@@ -525,3 +526,94 @@ def test_directed_pairs_match_the_lexsort_reference(dim, periodic, n, reach, gri
     assert source.dtype == np.int64 and xi.shape == (source.size // 2, dim)
     if reach == 1e-6 and not grid:
         assert source.size == 0  # the empty search keeps its shapes and dtypes
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The argument tuples of every neighbor_pairs call made through
+    directed_pairs, which looks it up in discretization."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return neighbor_pairs(*args)
+    monkeypatch.setattr(discretization, "neighbor_pairs", counted)
+    return calls
+
+
+def held_case():
+    """Scattered points, point 0 at the origin, in a box periodic on axis 0."""
+    rng = np.random.default_rng(7)
+    box, periodic = np.array([1.0, 1.5]), np.array([True, False])
+    points = rng.uniform(0.0, 1.0, (40, 2)) * box
+    points[0] = 0.0
+    return points, 0.3, box, periodic
+
+
+def assert_a_fresh_search(got, points, delta, box, periodic):
+    want = directed_pairs(points, delta, box, periodic)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_a_second_call_at_one_shape_returns_the_held_search(searches):
+    points, delta, box, periodic = held_case()
+    buffers = PairBuffers(2, 0)
+    first = directed_pairs(points, delta, box, periodic, buffers=buffers)
+    # equal bits in new arrays: the key is the values, not the objects
+    again = directed_pairs(points.copy(), delta, box.copy(), periodic.copy(),
+                           buffers=buffers)
+    assert len(searches) == 1
+    assert again[2] is first[2] and again[3] is first[3]
+    assert_a_fresh_search(again, points, delta, box, periodic)
+
+
+def one_ulp_up(points, delta, box, periodic):
+    points = points.copy()
+    points[5, 1] = np.nextafter(points[5, 1], np.inf)
+    return points, delta, box, periodic
+
+
+def negative_zero(points, delta, box, periodic):
+    # np.array_equal calls the two shapes equal; their bits differ
+    points = points.copy()
+    points[0, 0] = -0.0
+    assert np.array_equal(points, held_case()[0])
+    return points, delta, box, periodic
+
+
+def other_delta(points, delta, box, periodic):
+    return points, 0.25, box, periodic
+
+
+def other_box(points, delta, box, periodic):
+    return points, delta, box * np.array([1.25, 1.0]), periodic
+
+
+def other_periodic(points, delta, box, periodic):
+    return points, delta, box, np.array([True, True])
+
+
+@pytest.mark.parametrize("change", [one_ulp_up, negative_zero, other_delta, other_box,
+                                    other_periodic])
+def test_any_other_bit_of_the_key_searches_afresh(searches, change):
+    buffers = PairBuffers(2, 0)
+    directed_pairs(*held_case(), buffers=buffers)
+    args = change(*held_case())
+    got = directed_pairs(*args, buffers=buffers)
+    assert len(searches) == 2 and searches[1][1:] == args[1:]
+    assert buffers.search[1] is got[2]
+    assert_a_fresh_search(got, *args)
+
+
+def test_a_reserve_that_reallocates_drops_the_held_search(searches):
+    # the held index columns are those of the memory the reserve lets go
+    buffers = PairBuffers(2, 0)
+    first = directed_pairs(*held_case(), buffers=buffers)
+    ints, _ = buffers.reserve(4 * first[0].size)
+    assert buffers.search is None and not np.shares_memory(ints, first[0])
+    ints[:] = -1  # the next user of the buffers writes them
+    got = directed_pairs(*held_case(), buffers=buffers)
+    assert len(searches) == 2
+    assert np.shares_memory(got[0], ints) and np.shares_memory(got[1], ints)
+    assert_a_fresh_search(got, *held_case())
