@@ -185,11 +185,11 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
     A sin(k (x - c t)) whose wave speed derives from the bond network's own
     linearized modulus, on the bar1d-wave table with a smaller step. Fewer
     than two horizons, or one given twice, is a ConfigError. Non-monotone
-    error sequences are reported, never suppressed. A horizon whose spacing
-    delta / m does not tile the bar is a ConfigError naming deltas, raised
-    before the first run.
+    error sequences are reported, never suppressed. A horizon that is not a
+    positive number, or whose spacing delta / m does not tile the bar, is a
+    ConfigError naming deltas, raised before the first run.
     """
-    from .config import PRESET_CONFIGS
+    from .config import PRESET_CONFIGS, check_value
     from .discretization import grid_counts
     from .scenarios import bar_wave_spacing, build_bar_wave
 
@@ -199,6 +199,10 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
         raise ConfigError(f"deltas: each horizon must appear once, got {tuple(deltas)}")
     bar = PRESET_CONFIGS["bar1d-wave"]["domain"]["box"]
     for delta in deltas:
+        try:
+            check_value("horizon", "delta", delta)
+        except ConfigError:
+            raise ConfigError(f"deltas: horizon {delta} is not a positive number") from None
         h = bar_wave_spacing(delta, m)
         try:
             grid_counts(bar, h)

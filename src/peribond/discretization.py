@@ -71,10 +71,13 @@ class BondNetwork:
     sparse CSR operator that does both; its rows list their entries in pair
     order, so scatter @ f sums each point's terms in pair order and
     scatter[points] @ f re-sums those rows bitwise as the full product does.
-    The fields are fixed; the mu array holds the mutable per-pair intactness
-    factor in [0, 1]. accum, the graded-breakage accumulator that only the
-    theta-eps breaker reads, is made (zero) on first use and is kept, like
-    mu, for the network's life.
+    When every pair's two weights are equal, as on any uniform grid,
+    reverse_weights is the weights array itself, and weighted_sum forms
+    one product for both ends. The fields are fixed and the weights
+    read-only; the mu array holds the mutable per-pair intactness factor in
+    [0, 1]. accum, the graded-breakage accumulator that only the theta-eps
+    breaker reads, is made (zero) on first use and is kept, like mu, for
+    the network's life.
     """
 
     source: np.ndarray           # (M,) lower point index per pair
@@ -104,13 +107,21 @@ class BondNetwork:
         return (np.bincount(self.source, weights=at_source, minlength=n)
                 + np.bincount(self.neighbors, weights=at_neighbor, minlength=n))
 
+    def weighted_sum(self, values):
+        """Per-point sums of per-pair values times the weight onto each end
+        (values * w_ij at the source, values * w_ji at the neighbor); one
+        product serves both ends when their weights are one array."""
+        at_source = values * self.weights
+        return self.per_point(at_source, at_source if self.reverse_weights is self.weights
+                              else values * self.reverse_weights)
+
     def degrees(self) -> np.ndarray:
         return self.per_point(None, None)
 
     def damage(self) -> np.ndarray:
         """Per-point damage 1 - sum(mu w)/sum(w); zero for empty horizons."""
         wsum = self.per_point(self.weights, self.reverse_weights)
-        intact = self.per_point(self.mu * self.weights, self.mu * self.reverse_weights)
+        intact = self.weighted_sum(self.mu)
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = 1.0 - intact / wsum
         return np.where(wsum > 0.0, phi, 0.0)
@@ -292,14 +303,17 @@ def neighbor_pairs(positions, delta, box, periodic):
     # unpacked into the tree's own array: one (P, 2) array and one key column
     np.right_shift(keys, bits, out=pairs[:, 0])
     np.bitwise_and(keys, (1 << bits) - 1, out=pairs[:, 1])
+    del keys
     diff = np.take(positions, pairs[:, 1], axis=0)
     diff -= np.take(positions, pairs[:, 0], axis=0)
     minimum_image(diff, box, periodic)
     dist = lengths(diff)
     keep = in_support(dist, delta)
-    if keep.all():
-        return pairs, diff, dist
-    return pairs[keep], diff[keep], dist[keep]
+    if not keep.all():  # one array at a time, each dropped as it is cut
+        pairs = pairs[keep]
+        diff = diff[keep]
+        dist = dist[keep]
+    return pairs, diff, dist
 
 
 class PairBuffers:
@@ -384,7 +398,8 @@ def _scatter_operator(source, neighbors, weights, reverse_weights, n_points):
     rows = np.empty(2 * m, dtype=np.int32)
     rows[0::2], rows[1::2] = source, neighbors
     data = np.empty(2 * m)
-    data[0::2], data[1::2] = weights, -reverse_weights
+    data[0::2] = weights
+    np.negative(reverse_weights, out=data[1::2])
     indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
     return csc_matrix((data, rows, indptr), shape=(n_points, m)).tocsr()
 
@@ -395,13 +410,15 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
     Pairs satisfy 0 < |xi| <= delta with minimum-image separations on
     periodic axes; each carries the volume of its other end times the
     partial-volume factor (when enabled) as the weight onto either end.
-    Coincident points raise SingularConfigurationError. The reference
-    network and the remembered-shape networks of memory runs both come
-    from here.
+    When every pair's two weights are bitwise equal (equal volumes), one
+    read-only array serves as both. Coincident points raise
+    SingularConfigurationError. The reference network and the
+    remembered-shape networks of memory runs both come from here.
     """
     delta = horizon.delta
     pairs, xi, xi_norm = neighbor_pairs(positions, delta, cloud.box, cloud.periodic)
     source, neighbors = pairs[:, 0].copy(), pairs[:, 1].copy()
+    del pairs  # each transient goes once its last use has passed
     if np.any(xi_norm == 0.0):
         k = int(np.flatnonzero(xi_norm == 0.0)[0])
         raise SingularConfigurationError(
@@ -413,6 +430,11 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
         taper = partial_volume_factor(xi_norm, cloud.spacing, delta)
         weights *= taper
         reverse_weights *= taper
+        del taper
+    if np.array_equal(weights, reverse_weights):
+        reverse_weights = weights
+    weights.flags.writeable = reverse_weights.flags.writeable = False
+    scatter = _scatter_operator(source, neighbors, weights, reverse_weights, cloud.n_points)
     return BondNetwork(
         source=source,
         neighbors=neighbors,
@@ -422,8 +444,7 @@ def pair_network(cloud: PointCloud, horizon: HorizonConfig, positions) -> BondNe
         reverse_weights=reverse_weights,
         mu=np.ones(source.shape[0]),
         n_points=cloud.n_points,
-        scatter=_scatter_operator(source, neighbors, weights, reverse_weights,
-                                  cloud.n_points),
+        scatter=scatter,
     )
 
 

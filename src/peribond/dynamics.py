@@ -132,8 +132,7 @@ def stable_dt(cloud: PointCloud, bonds: BondNetwork, model, safety: float = 0.5)
     dt = safety * sqrt(2 rho / max_i sum_j weight_ij |C_ij|) with C_ij the
     kernel's signed undeformed bond stiffness d|f|/dq.
     """
-    c = np.abs(model.stiffness0(bonds.xi_norm))
-    s = bonds.per_point(bonds.weights * c, bonds.reverse_weights * c)
+    s = bonds.weighted_sum(np.abs(model.stiffness0(bonds.xi_norm)))
     smax = float(np.max(s)) if s.size else 0.0
     if not smax > 0.0:
         raise ConfigError("bond stiffness sums to zero; stable step undefined")
@@ -176,23 +175,40 @@ class NetworkForce:
         """The breaker's per-bond critical stretch (None: its own s0)."""
         return self.model.breaker_thresholds(self.bonds.xi_norm)
 
-    def _pairs(self, u, kernel, rows=slice(None)):
-        """z = xi + eta, q = |z| and the gated kernel(q, r, k, mu) of the
-        pairs in rows (all of them by default) at displacement u."""
+    def _deformed(self, u, rows=slice(None)):
+        """z = xi + eta of the pairs in rows at displacement u, formed in the
+        first gather's own array (eta + xi is bitwise xi + eta). The second
+        gather is subtracted half by half: z and half a gather, 1.5 dim
+        columns, stay below the dim + 2 that the lengths and the kernel
+        need, so the gather never sets the pass's high-water."""
+        bonds = self.bonds
+        z = np.take(u, bonds.neighbors[rows], axis=0)
+        source = bonds.source[rows]
+        half = source.shape[0] // 2
+        for part in (slice(None, half), slice(half, None)):
+            z[part] -= np.take(u, source[part], axis=0)
+        z += bonds.xi[rows]
+        return z
+
+    def _pairs(self, u, kernel, rows=slice(None), z=None):
+        """q = |z| and the gated kernel(q, r, k, mu) of the pairs in rows (all
+        of them by default) at displacement u, z being their _deformed. A z
+        not given is formed here and dropped once q is formed, before the
+        kernel runs."""
         bonds, k, inside = self.bonds, self.k, self.inside
-        source, neighbors = bonds.source[rows], bonds.neighbors[rows]
-        z = bonds.xi[rows] + (np.take(u, neighbors, axis=0) - np.take(u, source, axis=0))
+        q = lengths(self._deformed(u, rows) if z is None else z)
         try:
-            q, values = evaluate_pairs(self.model, kernel, z, bonds.xi_norm[rows],
-                                       k[rows] if np.ndim(k) else k,
-                                       None if inside is None else inside[rows], bonds.mu[rows])
+            return q, evaluate_pairs(self.model, kernel, q, bonds.xi_norm[rows],
+                                     k[rows] if np.ndim(k) else k,
+                                     None if inside is None else inside[rows], bonds.mu[rows])
         except SingularConfigurationError:
-            raise coincident_bonds(self.model.family, z, source, neighbors) from None
-        return z, q, values
+            raise coincident_bonds(self.model.family, self._deformed(u, rows),
+                                   bonds.source[rows], bonds.neighbors[rows]) from None
 
     def _forces(self, u, rows=slice(None)):
         """Deformed lengths and pair forces of the pairs in rows."""
-        z, q, coef = self._pairs(u, self.model._coef, rows)
+        z = self._deformed(u, rows)
+        q, coef = self._pairs(u, self.model._coef, rows, z)
         for z_k in z.T:
             z_k *= coef
         return q, z
@@ -203,8 +219,7 @@ class NetworkForce:
         return self.bonds.scatter @ self._pass[1]
 
     def potential(self, state):
-        _, _, phi = self._pairs(state.u, self.model._phi)
-        return _pair_energy(self.cloud, self.bonds, phi)
+        return _pair_energy(self.cloud, self.bonds, self._pairs(state.u, self.model._phi)[1])
 
     def damage(self):
         return self.bonds.damage()
@@ -284,7 +299,10 @@ def potential_energy(cloud: PointCloud, bonds: BondNetwork, model, u: np.ndarray
 
 
 def _pair_energy(cloud, bonds, phi):
-    return float(np.sum(phi * bonds.weights * cloud.volumes[bonds.source]))
+    """The sum of phi w_ij V_i over pairs, formed in phi itself."""
+    phi *= bonds.weights
+    phi *= cloud.volumes[bonds.source]
+    return float(np.sum(phi))
 
 
 def momentum(cloud: PointCloud, v: np.ndarray) -> np.ndarray:

@@ -98,6 +98,11 @@ class MicroModulus:
         if not self.delta > 0.0:
             raise ConfigError(f"micro-modulus delta must be positive, got {self.delta}")
 
+    @property
+    def constant(self) -> bool:
+        """True when c(r) is c0 everywhere on the support (cylindrical)."""
+        return self.family == "cylindrical"
+
     def profile(self, r):
         """Dimensionless shape k(r) in [0, 1], including the horizon indicator."""
         r = np.asarray(r, dtype=float)
@@ -182,22 +187,25 @@ def reference_factors(model, r):
     pass needs of r. k is one number (0-d) when it is the same for every
     bond, as a cylindrical micro-modulus with every bond inside makes it:
     c0 * s is bitwise c0[i] * s, so the pass holds no per-pair copy of a
-    constant. A zero r is refused."""
+    constant. When the family's k is constant on its support
+    (radial_constant) and every bond lies inside, k is formed from the
+    first bond alone; otherwise from every bond, and kept whole only when
+    its values differ. A zero r is refused."""
     if np.any(r == 0.0):
         raise ValueError(f"{model.family}: zero reference separation in bond array")
     inside = in_support(r, model.delta)
-    k = model._radial(r)
+    every = bool(inside.all())
+    k = model._radial(r[:1] if every and model.radial_constant else r)
     if k is not None and k.size and (k == k[0]).all():
         k = k[0]
-    return k, (None if inside.all() else inside)
+    return k, (None if every else inside)
 
 
-def evaluate_pairs(model, kernel, z, r, k, inside, mu):
-    """The one pair pass of every bond evaluation: q = |z| of the deformed
-    bonds z and kernel(q, r, k, mu), zeroed where the support mask inside
-    is False. kernel is model._coef or model._phi, mu None means intact, and
-    a zero q is refused, naming its rows, when the family needs_direction."""
-    q = lengths(z)
+def evaluate_pairs(model, kernel, q, r, k, inside, mu):
+    """The one pair pass of every bond evaluation: kernel(q, r, k, mu) of the
+    deformed lengths q = |z|, zeroed where the support mask inside is False.
+    kernel is model._coef or model._phi, mu None means intact, and a zero q
+    is refused, naming its rows, when the family needs_direction."""
     if model.needs_direction and not q.all():
         rows = np.flatnonzero(q == 0.0)[:8].tolist()
         raise SingularConfigurationError(
@@ -205,7 +213,7 @@ def evaluate_pairs(model, kernel, z, r, k, inside, mu):
     values = kernel(q, r, k, 1.0 if mu is None else np.asarray(mu, dtype=float))
     if inside is not None:
         values = np.where(inside, values, 0.0)
-    return q, values
+    return values
 
 
 class KernelModel:
@@ -223,18 +231,19 @@ class KernelModel:
     """
 
     needs_direction = False  # True when the force divides by the deformed length
+    radial_constant = False  # True when _radial(r) is one value on the support
     breaker = BondBreaker()
 
     def force(self, xi, eta, mu=None):
         z, r, single = _as_bond_arrays(xi, eta)
-        _, coef = evaluate_pairs(self, self._coef, z, r, *reference_factors(self, r), mu)
+        coef = evaluate_pairs(self, self._coef, lengths(z), r, *reference_factors(self, r), mu)
         for z_k in z.T:
             z_k *= coef
         return z[0] if single else z
 
     def potential(self, xi, eta, mu=None):
         z, r, single = _as_bond_arrays(xi, eta)
-        _, phi = evaluate_pairs(self, self._phi, z, r, *reference_factors(self, r), mu)
+        phi = evaluate_pairs(self, self._phi, lengths(z), r, *reference_factors(self, r), mu)
         return float(phi[0]) if single else phi
 
     def stiffness0(self, xi_norm):
@@ -255,6 +264,22 @@ class KernelModel:
 
     def _radial(self, r):
         return None
+
+
+class _MicroFamily(KernelModel):
+    """A family whose k = _radial(r) is its micro-modulus c(r), and whose
+    horizon is the micro-modulus's."""
+
+    @property
+    def delta(self):
+        return self.micro.delta
+
+    @property
+    def radial_constant(self):
+        return self.micro.constant
+
+    def _radial(self, r):
+        return self.micro(r)
 
 
 @dataclass(frozen=True)
@@ -331,7 +356,7 @@ class QuadraticPotential(KernelModel):
 
 
 @dataclass(frozen=True)
-class PMB(KernelModel):
+class PMB(_MicroFamily):
     """Prototype microelastic brittle family: f = c(r) s mu n.
 
     The bond constant follows the micro-modulus profile; the optional breaker
@@ -348,38 +373,34 @@ class PMB(KernelModel):
     # patches and restores PMB.force by name.
     force = KernelModel.force
 
-    @property
-    def delta(self):
-        return self.micro.delta
-
-    def _radial(self, r):
-        return self.micro(r)
-
+    # k s mu / q and k (q - r)^2 / (2 r) mu, each formed in one array
     def _coef(self, q, r, k, mu):
-        return k * stretch_of(q, r) * mu / q
+        coef = stretch_of(q, r)
+        coef *= k
+        coef *= mu
+        coef /= q
+        return coef
 
     def _phi(self, q, r, k, mu):
-        return k * (q - r) ** 2 / (2.0 * r) * mu
+        phi = q - r
+        phi **= 2
+        phi *= k
+        phi /= 2.0 * r
+        phi *= mu
+        return phi
 
     def _stiff0(self, r):
         return self.micro(r) / r
 
 
 @dataclass(frozen=True)
-class ConstructiveRod(KernelModel):
+class ConstructiveRod(_MicroFamily):
     """Rod-type family f = c(r) (q - r)/r^2 n with micro-modulus bond constant."""
 
     micro: MicroModulus = MicroModulus()
 
     family = "rod"
     needs_direction = True
-
-    @property
-    def delta(self):
-        return self.micro.delta
-
-    def _radial(self, r):
-        return self.micro(r)
 
     def _coef(self, q, r, k, mu):
         return k * (q - r) / r**2 / q

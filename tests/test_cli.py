@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from peribond import cli as cli_module
+from peribond import dynamics
 from peribond.cli import cli
 from peribond.config import parse_config, print_config
 from peribond.kernels import QuadraticPotential
@@ -274,6 +275,19 @@ def test_convergence_names_the_arguments_of_a_horizon_that_does_not_tile(capsys)
     assert printed.out == ""
     assert printed.err.startswith("config error: deltas: horizon 0.4 at m = 1 ")
     assert "[domain]" not in printed.err
+
+
+@pytest.mark.parametrize("deltas", ["0.4,-0.2", "nan,0.1"])
+def test_convergence_names_the_argument_of_a_horizon_that_is_not_positive(
+        deltas, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(dynamics, "run", lambda *args, **kw: runs.append(args))
+    assert cli(["convergence", "--deltas", deltas, "--m", "2"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("config error: deltas: horizon ")
+    assert "[horizon]" not in printed.err
+    assert runs == []
 
 
 def test_an_os_error_on_stdout_exits_3(monkeypatch, capsys):

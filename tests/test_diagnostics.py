@@ -277,3 +277,16 @@ def test_delta_convergence_names_a_horizon_that_does_not_tile_the_bar(monkeypatc
     assert str(caught.value) == ("deltas: horizon 0.3 at m = 2 gives spacing 0.15, "
                                  "which does not tile the bar of length 1.0")
     assert built == []
+
+
+@pytest.mark.parametrize("deltas, bad", [((0.4, -0.2), "-0.2"), ((math.nan, 0.1), "nan"),
+                                         ((0.4, 0.0), "0.0")])
+def test_delta_convergence_names_a_horizon_that_is_not_positive(monkeypatch, deltas, bad):
+    # refused as one of the deltas, not as the [horizon] delta of a table the
+    # caller never wrote, and before any run
+    built = []
+    monkeypatch.setattr(scenarios, "build_bar_wave", lambda **kw: built.append(kw))
+    with pytest.raises(ConfigError) as caught:
+        delta_convergence(deltas=deltas, m=2)
+    assert str(caught.value) == f"deltas: horizon {bad} is not a positive number"
+    assert built == []

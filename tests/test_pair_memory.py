@@ -7,7 +7,9 @@ finds a crossing point only for the pairs that straddle the seam. The oracles
 below are the full-array forms: an operator handed the per-pair k that
 model._radial forms, a reference loop on a network whose accumulator exists
 from the start, and the crack seeding that formed every pair's crossing.
-Every result must be bitwise theirs.
+Every result must be bitwise theirs. Last, the traced high-water of the
+network build, the force and the potential on the 64 x 64 plate is bounded
+in float columns of the pair count.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peribond import build_bar_wave, build_bonds, build_grid, build_plate_precrack
-from peribond import HorizonConfig, materialize, parse_config, run, scenarios
+from peribond import HorizonConfig, discretization, materialize, parse_config, run, scenarios
 from peribond.dynamics import NetworkForce, zero_state
 from peribond.kernels import (
     MICRO_FAMILIES,
@@ -29,6 +31,7 @@ from peribond.kernels import (
     default_models,
     evaluate_pairs,
     in_support,
+    lengths,
 )
 
 from test_loop_oracle import reference_solid_run
@@ -47,8 +50,8 @@ def per_pair_k_force(model, xi, eta, mu):
     r = np.linalg.norm(xi, axis=1)
     inside = in_support(r, model.delta)
     z = xi + eta
-    _, coef = evaluate_pairs(model, model._coef, z, r, model._radial(r),
-                             None if inside.all() else inside, mu)
+    coef = evaluate_pairs(model, model._coef, lengths(z), r, model._radial(r),
+                          None if inside.all() else inside, mu)
     return z * coef[:, None]
 
 
@@ -225,11 +228,13 @@ def test_crack_seeding_matches_the_full_array_form_on_any_seam(n, m, y_c, x):
     assert np.array_equal(a.mu, b.mu)
 
 
-def traced_peak(seed_crack, cloud, bonds, segment):
+def traced(fn, *args):
+    """fn(*args), with the traced bytes its allocations leave live and their
+    high-water during the call."""
     tracemalloc.start()
     try:
-        seed_crack(cloud, bonds, *segment)
-        return tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return (out, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
@@ -239,7 +244,28 @@ def test_crack_seeding_forms_no_full_length_crossings():
     # full-array form peaks near 3.8 MiB
     setup, segment = plate_crack(64)
     cloud, horizon = setup.cloud, setup.horizon
-    peak = traced_peak(scenarios._seed_crack, cloud, build_bonds(cloud, horizon), segment)
-    full = traced_peak(full_array_seed_crack, cloud, build_bonds(cloud, horizon), segment)
+    _, _, peak = traced(scenarios._seed_crack, cloud, build_bonds(cloud, horizon), *segment)
+    _, _, full = traced(full_array_seed_crack, cloud, build_bonds(cloud, horizon), *segment)
     assert full > 3.0 * 2**20
     assert peak < 1.5 * 2**20
+
+
+def test_the_solid_path_holds_each_per_pair_array_once_at_its_high_water():
+    # 64 x 64 plate, 55,058 pairs, 0.42 MiB per float column. Before the
+    # weights were shared and the transients dropped as their use passed,
+    # the build peaked 4.5 columns above the network it left and the force
+    # and the potential 5.0 columns above the live network; now 2.5 and 4.0
+    setup = build_plate_precrack(n=64, n_steps=1)
+    cloud, horizon, model, state = setup.cloud, setup.horizon, setup.model, setup.state
+    bonds, network, peak = traced(discretization.pair_network, cloud, horizon,
+                                  cloud.positions)
+    column = 8.0 * bonds.n_bonds
+    assert network >= 10.0 * column  # the traced build holds the network it returns
+    assert peak - network < 3.5 * column
+
+    state.u += 1e-4 * cloud.spacing * np.random.default_rng(1).standard_normal(state.u.shape)
+    op = NetworkForce(cloud, setup.bonds, model)
+    for call, args in ((op.potential, (state,)), (op.force, (state, state.v))):
+        _, _, peak = traced(call, *args)
+        # z = xi + eta, q and the kernel's output at least
+        assert 3.0 * column < peak < 4.5 * column, call.__name__

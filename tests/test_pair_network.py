@@ -12,7 +12,10 @@ breaker's row-local force refresh against a fresh force. A point's bonds,
 read off its operator row, are checked against two scans of all pairs. The
 neighbor search itself is checked against an O(N^2) minimum-image brute force,
 and the directed search against the pairs it doubles and the two-key lexsort
-it replaced; a search held in its buffers against a fresh one.
+it replaced; a search held in its buffers against a fresh one. Where one
+weight array serves both ends of every pair, the network's force,
+potential, damage and stable step are checked bitwise against per-end forms
+that read each end's weights from its own array.
 """
 
 import dataclasses
@@ -25,7 +28,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 
-from peribond import HorizonConfig, build_bonds, build_grid, discretization, dynamics, kernels
+from peribond import (
+    HorizonConfig,
+    PointCloud,
+    build_bonds,
+    build_grid,
+    discretization,
+    dynamics,
+    kernels,
+)
 from peribond.discretization import (
     PairBuffers,
     directed_pairs,
@@ -244,6 +255,97 @@ def test_the_network_operator_cannot_be_replaced():
     assert bonds.scatter.format == "csr"
     bonds.mu[0] = 0.5  # the damage state stays writable
     assert bonds.mu[0] == 0.5
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_neither_end_can_write_the_weights(uniform):
+    # shared or not, no caller changes one end's weights through either name
+    cloud = (build_grid((1.0, 1.0), 0.25, 1.0, periodic=(False, False)) if uniform
+             else unequal_volume_cloud())
+    bonds = build_bonds(cloud, HorizonConfig(0.5))
+    assert (bonds.reverse_weights is bonds.weights) == uniform
+    weights = bonds.weights.copy()
+    for array in (bonds.weights, bonds.reverse_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert np.array_equal(bonds.weights, weights)
+
+
+def unequal_volume_cloud(n=6):
+    """A hand-built free n x n cloud whose volumes differ point by point."""
+    h = 1.0 / n
+    positions = (np.indices((n, n)).reshape(2, -1).T + 0.5) * h
+    volumes = h * h * np.random.default_rng(n).uniform(0.5, 1.5, n * n)
+    return PointCloud(positions=positions, volumes=volumes, density=1.0, spacing=h,
+                      box=np.ones(2), periodic=np.zeros(2, dtype=bool))
+
+
+def per_end_reference(cloud, bonds, model, u):
+    """Force, potential, damage and stable step with each end's weights read
+    from its own array, as two products where one shared array forms one:
+    the forms of the network before its two weight arrays could be one."""
+    w, rw = bonds.weights.copy(), bonds.reverse_weights.copy()
+    eta = np.take(u, bonds.neighbors, axis=0) - np.take(u, bonds.source, axis=0)
+    force = csc_scatter(bonds) @ model.force(bonds.xi, eta, bonds.mu)
+    phi = model.potential(bonds.xi, eta, bonds.mu)
+    potential = float(np.sum(phi * w * cloud.volumes[bonds.source]))
+    wsum = bonds.per_point(w, rw)
+    intact = bonds.per_point(bonds.mu * w, bonds.mu * rw)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        damage = np.where(wsum > 0.0, 1.0 - intact / wsum, 0.0)
+    c = np.abs(model.stiffness0(bonds.xi_norm))
+    dt = 0.5 * math.sqrt(2.0 * cloud.density / np.max(bonds.per_point(w * c, rw * c)))
+    return force, potential, damage, dt
+
+
+def assert_bitwise_the_per_end_forms(cloud, bonds, model, seed):
+    rng = np.random.default_rng(seed)
+    state = zero_state(cloud)
+    state.u[:] = 0.05 * cloud.spacing * rng.standard_normal(state.u.shape)
+    bonds.mu[:] = rng.uniform(0.0, 1.0, bonds.n_bonds)
+    bonds.mu[rng.random(bonds.n_bonds) < 0.2] = 0.0
+    op = NetworkForce(cloud, bonds, model)
+    force, potential, damage, dt = per_end_reference(cloud, bonds, model, state.u)
+    assert np.array_equal(op.force(state, state.v), force)
+    assert op.potential(state) == potential
+    assert np.array_equal(op.damage(), damage)
+    assert stable_dt(cloud, bonds, model) == dt
+
+
+@settings(max_examples=80)
+@given(lattice=lattices(), family=st.sampled_from(sorted(default_models())),
+       seed=st.integers(0, 2**16))
+def test_one_weight_array_serves_both_ends_exactly_when_they_are_equal(lattice, family,
+                                                                      seed):
+    cloud, horizon = lattice
+    bonds = build_bonds(cloud, horizon)
+    taper = (partial_volume_factor(bonds.xi_norm, cloud.spacing, horizon.delta)
+             if horizon.partial_volume == "linear" else 1.0)
+    at_source = cloud.volumes[bonds.neighbors] * taper
+    at_neighbor = cloud.volumes[bonds.source] * taper
+    assert np.array_equal(bonds.weights, at_source)
+    assert np.array_equal(bonds.reverse_weights, at_neighbor)
+    assert (bonds.reverse_weights is bonds.weights) == np.array_equal(at_source, at_neighbor)
+    uniform = np.all(cloud.volumes == cloud.volumes[0])
+    assert not uniform or bonds.reverse_weights is bonds.weights  # any build_grid cloud
+    model = default_models(delta=horizon.delta, dim=cloud.dim)[family]
+    assert_bitwise_the_per_end_forms(cloud, bonds, model, seed)
+
+
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_unequal_volumes_keep_one_weight_array_per_end(family):
+    cloud = unequal_volume_cloud()
+    horizon = HorizonConfig(2.5 * cloud.spacing)
+    bonds = build_bonds(cloud, horizon)
+    taper = partial_volume_factor(bonds.xi_norm, cloud.spacing, horizon.delta)
+    assert bonds.reverse_weights is not bonds.weights
+    assert np.array_equal(bonds.weights, cloud.volumes[bonds.neighbors] * taper)
+    assert np.array_equal(bonds.reverse_weights, cloud.volumes[bonds.source] * taper)
+    assert not np.array_equal(bonds.weights, bonds.reverse_weights)
+    model = default_models(delta=horizon.delta, dim=cloud.dim)[family]
+    assert_bitwise_the_per_end_forms(cloud, bonds, model, 5)
 
 
 def two_scan_bonds_of(bonds, point):
