@@ -39,8 +39,15 @@ def _positive(v):
     return v > 0.0
 
 
-def _non_negative(v):
-    return v >= 0.0
+def _finite_positive(v):
+    return 0.0 < v < math.inf
+
+
+# inf is out of range where only a finite value works; _positive keeps it
+# where it means "never" (u_star, s0, s, wavelength)
+_FINITE_POSITIVE = {"constraint": "must be finite and positive", "check": _finite_positive}
+_FINITE_NON_NEGATIVE = {"constraint": "must be finite and non-negative",
+                        "check": lambda v: 0.0 <= v < math.inf}
 
 
 # float and int first: they spare the common values the slower ABC checks
@@ -137,45 +144,44 @@ SCHEMA = {
     "domain": {
         "dim": Field("int", 1, constraint="must be 1, 2, or 3",
                      check=lambda v: v in (1, 2, 3)),
-        "box": Field("float_list", (1.0,), constraint="entries must be positive",
-                     check=lambda v: all(x > 0.0 for x in v)),
+        "box": Field("float_list", (1.0,), constraint="entries must be finite and positive",
+                     check=lambda v: all(map(_finite_positive, v))),
         "h": Field("float", 0.025, constraint="must be positive", check=_positive),
-        "rho": Field("float", 1.0, constraint="must be positive", check=_positive),
+        "rho": Field("float", 1.0, **_FINITE_POSITIVE),
         "periodic": Field("bool_list", (True,)),
     },
     "horizon": {
-        "delta": Field("float", 0.1, constraint="must be positive", check=_positive),
+        "delta": Field("float", 0.1, **_FINITE_POSITIVE),
         "partial_volume": Field("str", "linear", choices=PARTIAL_VOLUME_MODES),
     },
     "kernel": {
         "family": Field("str", "pmb", choices=tuple(sorted(KERNEL_FAMILIES))),
-        "c": Field("float", 1.0, constraint="must be positive", check=_positive),
+        "c": Field("float", 1.0, **_FINITE_POSITIVE),
         "u_star": Field("float", math.inf, constraint="must be positive",
                         check=_positive),
-        "alpha": Field("float", 0.5),
-        "c0": Field("float", 1.0, constraint="must be positive", check=_positive),
+        "alpha": Field("float", 0.5, constraint="must be finite", check=math.isfinite),
+        "c0": Field("float", 1.0, **_FINITE_POSITIVE),
         "micro": Field("str", "cylindrical", choices=MICRO_FAMILIES),
         "exponent": Field("int", 3,
                           constraint="must be an odd integer greater than 1",
                           check=lambda v: v > 1 and v % 2 == 1),
-        "kappa": Field("float", 1.0, constraint="must be positive", check=_positive),
-        "p": Field("float", 2.0, constraint="must be at least 2",
-                   check=lambda v: v >= 2.0),
-        "g": Field("float", 1.0, constraint="must be positive", check=_positive),
-        "vdw_a": Field("float", 0.0, constraint="must be non-negative",
-                       check=_non_negative),
-        "vdw_b": Field("float", 0.0, constraint="must be non-negative",
-                       check=_non_negative),
+        "kappa": Field("float", 1.0, **_FINITE_POSITIVE),
+        "p": Field("float", 2.0, constraint="must be finite and at least 2",
+                   check=lambda v: 2.0 <= v < math.inf),
+        "g": Field("float", 1.0, **_FINITE_POSITIVE),
+        "vdw_a": Field("float", 0.0, **_FINITE_NON_NEGATIVE),
+        "vdw_b": Field("float", 0.0, **_FINITE_NON_NEGATIVE),
     },
     "breaker": {
         "mode": Field("str", "none", choices=BREAKER_MODES),
         "s0": Field("float", math.inf, constraint="must be positive", check=_positive),
         "eps": Field("float", 0.0, constraint="must be non-negative",
-                     check=_non_negative),
+                     check=lambda v: v >= 0.0),
     },
     "load": {
         "preset": Field("str", "none", choices=LOAD_PRESETS),
-        "amplitude": Field("float_list", ()),
+        "amplitude": Field("float_list", (), constraint="entries must be finite",
+                           check=lambda v: all(map(math.isfinite, v))),
         "wavelength": Field("float", 1.0, constraint="must be positive",
                             check=_positive),
         "center": Field("float", 0.5),
@@ -193,8 +199,7 @@ SCHEMA = {
     "memory": {
         "mode": Field("str", "infinite", choices=MEMORY_MODES),
         "s": Field("float", math.inf, constraint="must be positive", check=_positive),
-        "coefficient": Field("float", 1.0, constraint="must be positive",
-                             check=_positive),
+        "coefficient": Field("float", 1.0, **_FINITE_POSITIVE),
         "fluid_kernel": Field("str", "linear", choices=FLUID_KERNELS),
     },
     "output": {
@@ -204,11 +209,9 @@ SCHEMA = {
     },
     "scenario": {
         "preset": Field("str", "none", choices=("none",) + tuple(PRESET_CONFIGS)),
-        "amplitude": Field("float", 1e-3, constraint="must be positive",
-                           check=_positive),
-        "periods": Field("float", 1.0, constraint="must be positive",
-                         check=_positive),
-        "v0": Field("float", 0.1, constraint="must be positive", check=_positive),
+        "amplitude": Field("float", 1e-3, **_FINITE_POSITIVE),
+        "periods": Field("float", 1.0, **_FINITE_POSITIVE),
+        "v0": Field("float", 0.1, **_FINITE_POSITIVE),
     },
 }
 

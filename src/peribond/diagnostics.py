@@ -7,7 +7,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigError, SingularConfigurationError
-from .kernels import bond_stretch
+from .kernels import lengths, stretch_of
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def impenetrability_probe(cloud, bonds, model, state, threshold=0.1) -> ProbeRep
     """
     if not threshold > 0.0:
         raise ConfigError(f"probe threshold must be positive, got {threshold}")
-    eta = state.u[bonds.neighbors] - state.u[bonds.source]
-    dist = np.linalg.norm(bonds.xi + eta, axis=1)
+    eta = np.take(state.u, bonds.neighbors, axis=0) - np.take(state.u, bonds.source, axis=0)
+    dist = lengths(bonds.xi + eta)
     cut = threshold * cloud.spacing
 
     rows = np.flatnonzero(dist < cut)
@@ -145,7 +145,7 @@ def stretch_compare(cloud, bonds, state, index) -> StretchCompareReport:
     grad = np.linalg.solve(gram, xi.T @ eta).T
 
     e = xi / np.linalg.norm(xi, axis=1, keepdims=True)
-    s = bond_stretch(xi, eta)
+    s = stretch_of(lengths(xi + eta), lengths(xi))
     full = np.linalg.norm(e @ (np.eye(dim) + grad).T, axis=1) - 1.0
     sym = 0.5 * (grad + grad.T)
     linear = np.einsum("bi,ij,bj->b", e, sym, e)
@@ -153,11 +153,11 @@ def stretch_compare(cloud, bonds, state, index) -> StretchCompareReport:
     return StretchCompareReport(
         index=int(index),
         grad=grad,
-        stretches=np.atleast_1d(s),
+        stretches=s,
         full_prediction=full,
         linear_prediction=linear,
-        max_discrepancy=float(np.max(np.abs(np.atleast_1d(s) - full))),
-        max_linear_discrepancy=float(np.max(np.abs(np.atleast_1d(s) - linear))),
+        max_discrepancy=float(np.max(np.abs(s - full))),
+        max_linear_discrepancy=float(np.max(np.abs(s - linear))),
     )
 
 

@@ -152,8 +152,8 @@ class NetworkForce:
 
     The operator asks the model only for its scalars _coef and _phi, through
     the pair pass of kernels: reference_factors forms k = _radial(|xi|) (one
-    number when it is the same for every bond) and the support mask once,
-    refusing a zero |xi|, and evaluate_pairs runs on the gathered pairs, its
+    number when the family says so) and the support mask once, refusing a
+    zero |xi|, and evaluate_pairs runs on the gathered pairs, its
     zero-length refusal named by point pairs (coincident_bonds). force keeps
     its pass's deformed lengths and pair forces until settle takes them: the
     stretch comes from those lengths, with no second gather, and a break

@@ -65,15 +65,6 @@ def stretch_of(q, r, out=None):
     return np.divide(s, r, out=s)
 
 
-def bond_stretch(xi, eta):
-    """Relative elongation s = (|xi + eta| - |xi|)/|xi| of one or many bonds."""
-    z, r, single = _as_bond_arrays(xi, eta)
-    if np.any(r == 0.0):
-        raise ValueError("bond stretch undefined for zero reference separation")
-    s = stretch_of(lengths(z), r)
-    return float(s[0]) if single else s
-
-
 @dataclass(frozen=True)
 class MicroModulus:
     """Radial bond-constant profile c(r) = c0 * k(r/delta), zero outside delta.
@@ -97,11 +88,6 @@ class MicroModulus:
             raise ConfigError(f"micro-modulus c0 must be positive, got {self.c0}")
         if not self.delta > 0.0:
             raise ConfigError(f"micro-modulus delta must be positive, got {self.delta}")
-
-    @property
-    def constant(self) -> bool:
-        """True when c(r) is c0 everywhere on the support (cylindrical)."""
-        return self.family == "cylindrical"
 
     def profile(self, r):
         """Dimensionless shape k(r) in [0, 1], including the horizon indicator."""
@@ -184,28 +170,21 @@ def update_breaker(breaker, stretch, dt, mu, accum, thresholds=None, changed=Non
 def reference_factors(model, r):
     """k = model._radial(r) of reference lengths r and their mask of support
     within model.delta, None when every bond lies inside: all that a pair
-    pass needs of r. k is one number (0-d) when it is the same for every
-    bond, as a cylindrical micro-modulus with every bond inside makes it:
-    c0 * s is bitwise c0[i] * s, so the pass holds no per-pair copy of a
-    constant. When the family's k is constant on its support
-    (radial_constant) and every bond lies inside, k is formed from the
-    first bond alone; otherwise from every bond, and kept whole only when
-    its values differ. A zero r is refused."""
+    pass needs of r. k is one number when the family says so, as a
+    cylindrical micro-modulus does: c0 * s is bitwise c0[i] * s, and the
+    mask zeroes the bonds past the micro-modulus, so the pass holds no
+    per-pair copy of a constant. A zero r is refused."""
     if np.any(r == 0.0):
         raise ValueError(f"{model.family}: zero reference separation in bond array")
     inside = in_support(r, model.delta)
-    every = bool(inside.all())
-    k = model._radial(r[:1] if every and model.radial_constant else r)
-    if k is not None and k.size and (k == k[0]).all():
-        k = k[0]
-    return k, (None if every else inside)
+    return model._radial(r), (None if inside.all() else inside)
 
 
 def evaluate_pairs(model, kernel, q, r, k, inside, mu):
     """The one pair pass of every bond evaluation: kernel(q, r, k, mu) of the
     deformed lengths q = |z|, zeroed where the support mask inside is False.
-    kernel is model._coef or model._phi, mu None means intact, and a zero q
-    is refused, naming its rows, when the family needs_direction."""
+    kernel is model._coef, model._phi or model._stiff0, mu None means intact,
+    and a zero q is refused, naming its rows, when the family needs_direction."""
     if model.needs_direction and not q.all():
         rows = np.flatnonzero(q == 0.0)[:8].tolist()
         raise SingularConfigurationError(
@@ -220,18 +199,19 @@ class KernelModel:
     """Shared contract of the bond force families.
 
     Every family is a central force f = coef(q, r) (xi + eta) with a scalar
-    potential phi(q, r), and supplies only its scalars: _coef(q, r, k, mu),
-    the force magnitude per unit deformed length; _phi(q, r, k, mu); and
-    _stiff0(r), the signed d|f|/dq at q = r. k = _radial(r) is the family's
-    factor that depends on r alone (the micro-modulus c(r) for PMB and rod,
+    potential phi(q, r), and supplies only its scalars, each of the same
+    signature: _coef(q, r, k, mu), the force magnitude per unit deformed
+    length; _phi(q, r, k, mu); and _stiff0(q, r, k, mu), the signed d|f|/dq
+    at q = r. k = _radial(r) is the family's factor that depends on r alone
+    (the micro-modulus for PMB and rod, one number when it is cylindrical;
     None for the others). Families without breakage ignore mu and keep the
-    inactive BondBreaker(). force and potential shape the bond arrays and
-    run the pair pass that dynamics.NetworkForce runs too (reference_factors,
-    evaluate_pairs); it zeroes every bond outside the family's horizon delta.
+    inactive BondBreaker(). force, potential and stiffness0 shape the bond
+    arrays and run the pair pass that dynamics.NetworkForce runs too
+    (reference_factors, evaluate_pairs); it alone zeroes every bond outside
+    the family's horizon delta.
     """
 
     needs_direction = False  # True when the force divides by the deformed length
-    radial_constant = False  # True when _radial(r) is one value on the support
     breaker = BondBreaker()
 
     def force(self, xi, eta, mu=None):
@@ -249,7 +229,7 @@ class KernelModel:
     def stiffness0(self, xi_norm):
         """The signed bond stiffness d|f|/dq at the undeformed state q = r."""
         r = np.asarray(xi_norm, dtype=float)
-        return np.where(in_support(r, self.delta), self._stiff0(r), 0.0)
+        return evaluate_pairs(self, self._stiff0, r, r, *reference_factors(self, r), None)
 
     def validate_dim(self, dim):
         return None
@@ -267,19 +247,15 @@ class KernelModel:
 
 
 class _MicroFamily(KernelModel):
-    """A family whose k = _radial(r) is its micro-modulus c(r), and whose
-    horizon is the micro-modulus's."""
+    """A family whose k = _radial(r) is its micro-modulus c(r), the number
+    c0 when that is cylindrical, and whose horizon is the micro-modulus's."""
 
     @property
     def delta(self):
         return self.micro.delta
 
-    @property
-    def radial_constant(self):
-        return self.micro.constant
-
     def _radial(self, r):
-        return self.micro(r)
+        return self.micro.c0 if self.micro.family == "cylindrical" else self.micro(r)
 
 
 @dataclass(frozen=True)
@@ -319,12 +295,12 @@ class AntiPlaneShear(KernelModel):
     def _phi(self, q, r, k, mu):
         return 0.5 * self.c * (q - r) ** 2 * ((q - r) <= self.u_star) * mu
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         return np.full_like(r, self.c)
 
     def gradient_exclusion_mask(self, xi, eta, step):
         # an infinite u_star excludes nothing
-        elong = np.linalg.norm(xi + eta, axis=1) - np.linalg.norm(xi, axis=1)
+        elong = lengths(xi + eta) - lengths(xi)
         return np.abs(elong - self.u_star) <= 8.0 * step
 
 
@@ -351,7 +327,7 @@ class QuadraticPotential(KernelModel):
     def _phi(self, q, r, k, mu):
         return self.alpha * (q**2 - r**2) ** 2
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         return 8.0 * self.alpha * r**2
 
 
@@ -389,8 +365,8 @@ class PMB(_MicroFamily):
         phi *= mu
         return phi
 
-    def _stiff0(self, r):
-        return self.micro(r) / r
+    def _stiff0(self, q, r, k, mu):
+        return k / r
 
 
 @dataclass(frozen=True)
@@ -408,8 +384,8 @@ class ConstructiveRod(_MicroFamily):
     def _phi(self, q, r, k, mu):
         return k * (q - r) ** 2 / (2.0 * r**2)
 
-    def _stiff0(self, r):
-        return self.micro(r) / r**2
+    def _stiff0(self, q, r, k, mu):
+        return k / r**2
 
 
 @dataclass(frozen=True)
@@ -440,7 +416,7 @@ class Convolution(KernelModel):
     def _phi(self, q, r, k, mu):
         return self.c * q ** (self.exponent + 1) / (self.exponent + 1)
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         return self.c * self.exponent * r ** (self.exponent - 1)
 
 
@@ -488,7 +464,7 @@ class NonlinearP(KernelModel):
     def _phi(self, q, r, k, mu):
         return self.kappa * q**self.p / self._denom(r)
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         return self.kappa * self.p * (self.p - 1.0) * r ** (self.p - 2.0) / self._denom(r)
 
 
@@ -526,7 +502,7 @@ class NanoMembrane(KernelModel):
         # Antiderivative of the magnitude in q, shifted to vanish at q = r.
         return (self.c * self.g / r) * (q**2 / r + r**3 / q**2 - 2.0 * r) * mu
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         return 8.0 * self.c * self.g / r**2
 
 
@@ -565,10 +541,10 @@ class NanoFiber(NanoMembrane):
     def _phi(self, q, r, k, mu):
         return super()._phi(q, r, k, mu) + (self._vdw_potential(q) - self._vdw_potential(r))
 
-    def _stiff0(self, r):
+    def _stiff0(self, q, r, k, mu):
         d = self.delta
         vdw = 156.0 * self.vdw_a * d**12 / r**14 - 42.0 * self.vdw_b * d**6 / r**8
-        return super()._stiff0(r) + vdw
+        return super()._stiff0(q, r, k, mu) + vdw
 
 
 KERNEL_FAMILIES = {

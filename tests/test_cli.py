@@ -122,6 +122,42 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "duplicate key" in capsys.readouterr().err
 
 
+# a key that only a finite value works for refuses inf before any run,
+# naming the key: once each of these ran to a non-finite state (exit 3),
+# escaped as a traceback or was blamed on another key
+INFINITE_VALUES = [
+    ("run", "[domain]\nrho = inf\n", "[domain] rho"),
+    ("run", "[domain]\nbox = inf\n", "[domain] box"),
+    ("run", "[kernel]\nfamily = nano-fiber\n[horizon]\ndelta = inf\n", "[horizon] delta"),
+    ("run", "[kernel]\nc0 = inf\n", "[kernel] c0"),
+    ("run", "[kernel]\nfamily = anti-plane-shear\nc = inf\n", "[kernel] c"),
+    ("run", "[kernel]\nfamily = quadratic\nalpha = inf\n", "[kernel] alpha"),
+    ("run", "[kernel]\nfamily = nonlinear-p\nkappa = inf\n", "[kernel] kappa"),
+    ("run", "[kernel]\nfamily = nonlinear-p\np = inf\n", "[kernel] p"),
+    ("run", "[kernel]\nfamily = nano-membrane\ng = inf\n", "[kernel] g"),
+    ("run", "[kernel]\nfamily = nano-fiber\nvdw_a = inf\n", "[kernel] vdw_a"),
+    ("run", "[kernel]\nfamily = nano-fiber\nvdw_b = inf\n", "[kernel] vdw_b"),
+    ("run", "[load]\npreset = constant\namplitude = inf\n", "[load] amplitude"),
+    ("run", "[scenario]\npreset = bar1d-wave\namplitude = inf\n", "[scenario] amplitude"),
+    ("run", "[scenario]\npreset = bar1d-wave\nperiods = inf\n", "[scenario] periods"),
+    ("fluid-run", "[scenario]\npreset = fluid-shear\n[memory]\ncoefficient = inf\n",
+     "[memory] coefficient"),
+    ("fluid-run", "[scenario]\npreset = fluid-shear\nv0 = inf\n", "[scenario] v0"),
+]
+
+
+@pytest.mark.parametrize("command, text, key", INFINITE_VALUES)
+def test_an_infinite_value_that_no_run_can_use_exits_2_naming_its_key(
+        tmp_path, monkeypatch, capsys, command, text, key):
+    def unrun(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(dynamics, "integrate", unrun)
+    assert cli([command, "-c", write(tmp_path, "inf.cfg", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "must be finite" in err
+
+
 @pytest.mark.parametrize("text", [
     "[scenario]\npreset = plate2d-precrack\n[domain]\ndim = 1\nbox = 1.0\nperiodic = false\n"
     "[load]\npreset = none\n",

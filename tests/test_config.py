@@ -207,12 +207,15 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True)  # includes inf
 FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 BY_CONSTRAINT = {
     "must be positive": POSITIVE,
+    "must be finite and positive": FINITE_POSITIVE,
     "must be non-negative": st.floats(min_value=0.0),
+    "must be finite and non-negative": st.floats(min_value=0.0, allow_infinity=False),
+    "must be finite": st.floats(allow_nan=False, allow_infinity=False),
     "": st.floats(allow_nan=False),
 }
 SPECIAL = {
     ("kernel", "exponent"): st.integers(1, 20).map(lambda k: 2 * k + 1),
-    ("kernel", "p"): st.floats(min_value=2.0),
+    ("kernel", "p"): st.floats(min_value=2.0, allow_infinity=False),
     ("time", "dt"): st.one_of(st.just("auto"), FINITE_POSITIVE),
     ("time", "steps"): st.integers(0, 10**6),
     ("time", "record_every"): st.integers(1, 10**4),
@@ -251,20 +254,22 @@ def valid_configs(draw):
         ("domain", "box"): box,
         ("domain", "h"): h,
         ("domain", "periodic"): periodic,
-        ("horizon", "delta"): draw(st.floats(0.0, 0.5 * reach, exclude_min=True)),
+        ("horizon", "delta"): draw(st.floats(0.0, 0.5 * reach, exclude_min=True,
+                                             allow_infinity=False)),
         ("kernel", "family"): family,
         ("memory", "mode"): memory,
         ("breaker", "mode"): breaker,
         ("load", "preset"): load,
         ("load", "amplitude"): tuple(draw(st.lists(
-            st.floats(allow_nan=False), min_size=dim if load != "none" else 0,
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=dim if load != "none" else 0,
             max_size=dim))),
     }
     if family == "nonlinear-p":
         fixed[("kernel", "alpha")] = draw(st.floats(0.0, 1.0, exclude_min=True,
                                                     exclude_max=True))
     if family == "quadratic":
-        fixed[("kernel", "alpha")] = draw(POSITIVE)
+        fixed[("kernel", "alpha")] = draw(FINITE_POSITIVE)
     if memory == "zero":  # no bond network to derive an auto dt from
         fixed[("time", "dt")] = draw(FINITE_POSITIVE)
     if breaker == "theta-eps":

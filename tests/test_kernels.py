@@ -27,7 +27,6 @@ from peribond.kernels import (
     NonlinearP,
     PMB,
     QuadraticPotential,
-    bond_stretch,
     check_kernel_axioms,
     default_models,
     in_support,
@@ -39,13 +38,13 @@ XI = np.array([1.0, 0.0])
 ETA = np.array([0.5, 0.0])  # q = 1.5, r = 1, stretch 0.5
 
 
-def test_bond_stretch_values():
-    assert bond_stretch(XI, ETA) == 0.5
-    assert bond_stretch(np.array([3.0, 4.0]), np.zeros(2)) == 0.0
-    s = bond_stretch(np.array([[1.0], [2.0]]), np.array([[1.0], [-1.0]]))
-    assert np.allclose(s, [1.0, -0.5])
-    with pytest.raises(ValueError):
-        bond_stretch(np.zeros(2), ETA)
+@pytest.mark.parametrize("family", sorted(default_models()))
+def test_stiffness0_refuses_a_zero_reference_length_as_the_pass_does(family):
+    model = default_models(1.0, 2)[family]
+    with pytest.raises(ValueError, match=f"^{family}: zero reference separation in bond array$"):
+        model.stiffness0(np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match=f"^{family}: zero reference separation in bond array$"):
+        model.potential(np.zeros(2), ETA)
 
 
 def test_in_support_keeps_marginal_lattice_bonds():

@@ -23,12 +23,16 @@ from peribond.errors import ConfigError
 # shared by int and float keys)
 BAD_BY_CONSTRAINT = {
     "must be 1, 2, or 3": (0, 4),
-    "entries must be positive": ((-1.0,), (0.0,)),
+    "entries must be finite and positive": ((-1.0,), (0.0,), (math.inf,), (1.0, math.inf)),
+    "entries must be finite": ((math.inf,), (0.0, -math.inf)),
     "must be positive": (0.0, -1.0, -math.inf),
+    "must be finite and positive": (0.0, -1.0, -math.inf, math.inf),
+    "must be finite": (math.inf, -math.inf),
     "must be an odd integer greater than 1": (1, 4),
-    "must be at least 2": (1.5,),
+    "must be finite and at least 2": (1.5, math.inf),
     ("must be non-negative", "int"): (-1,),
     ("must be non-negative", "float"): (-1.0, -1e-300),
+    "must be finite and non-negative": (-1.0, -1e-300, math.inf),
     "must be at least 1": (0, -3),
     "must be in (0, 1]": (7.0, 0.0, 1.0000000000000002),
     "must be finite, positive or 'auto'": (-1.0, 0.0, math.inf),

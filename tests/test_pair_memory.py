@@ -1,12 +1,13 @@
 """Per-pair memory only where a value varies, against the full arrays it replaced.
 
-A bond constant k that is the same for every bond is held as one number, the
-graded-breakage accumulator is made only when theta-eps reads it, a network
-operator forms its breaker's per-bond thresholds once, and the crack seeding
-finds a crossing point only for the pairs that straddle the seam. The oracles
-below are the full-array forms: an operator handed the per-pair k that
-model._radial forms, a reference loop on a network whose accumulator exists
-from the start, and the crack seeding that formed every pair's crossing.
+A cylindrical micro-modulus is held as one number k, the graded-breakage
+accumulator is made only when theta-eps reads it, a network operator forms
+its breaker's per-bond thresholds once, and the crack seeding finds a
+crossing point only for the pairs that straddle the seam. The oracles below
+are the full-array forms: an operator handed the per-pair k that the public
+micro-modulus model.micro forms, a reference loop on a network whose
+accumulator exists from the start, and the crack seeding that formed every
+pair's crossing.
 Every result must be bitwise theirs. Last, the traced high-water of the
 network build, the force and the potential on the 64 x 64 plate is bounded
 in float columns of the pair count.
@@ -39,9 +40,9 @@ from test_pair_network import lattices
 
 
 def per_pair_k_operator(cloud, bonds, model):
-    """A NetworkForce that holds k as the per-pair array model._radial forms."""
+    """A NetworkForce that holds k as the per-pair array model.micro forms."""
     op = NetworkForce(cloud, bonds, model)
-    op.k = model._radial(bonds.xi_norm)
+    op.k = model.micro(bonds.xi_norm)
     return op
 
 
@@ -50,7 +51,7 @@ def per_pair_k_force(model, xi, eta, mu):
     r = np.linalg.norm(xi, axis=1)
     inside = in_support(r, model.delta)
     z = xi + eta
-    coef = evaluate_pairs(model, model._coef, lengths(z), r, model._radial(r),
+    coef = evaluate_pairs(model, model._coef, lengths(z), r, model.micro(r),
                           None if inside.all() else inside, mu)
     return z * coef[:, None]
 
@@ -65,11 +66,13 @@ def test_one_number_k_is_bitwise_the_per_pair_k(lattice, kernel, micro, support,
     cloud, horizon = lattice
     model = kernel(micro=MicroModulus(micro, 1.7, support * horizon.delta))
     bonds = build_bonds(cloud, horizon)
-    k = model._radial(bonds.xi_norm)
+    k = model.micro(bonds.xi_norm)
     op, oracle = NetworkForce(cloud, bonds, model), per_pair_k_operator(cloud, bonds, model)
-    constant = bool(np.all(k == k[0]))
-    assert (np.ndim(op.k) == 0) == constant
-    assert np.array_equal(np.broadcast_to(op.k, k.shape), k)
+    assert (np.ndim(op.k) == 0) == (micro == "cylindrical")
+    gated = np.broadcast_to(op.k, k.shape)
+    if op.inside is not None:
+        gated = np.where(op.inside, gated, 0.0)
+    assert np.array_equal(gated, k)
 
     rng = np.random.default_rng(seed)
     m = bonds.n_bonds
@@ -99,9 +102,12 @@ def test_k_is_one_number_only_for_a_constant_micro_modulus():
     for micro in ("triangular", "normal", "quartic"):
         model = PMB(micro=MicroModulus(micro, 1.0, delta))
         assert NetworkForce(cloud, bonds, model).k.shape == (bonds.n_bonds,)
-    # bonds past the micro-modulus make a cylindrical k vary too
-    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.6 * delta))
-    assert NetworkForce(cloud, bonds, model).k.shape == (bonds.n_bonds,)
+    # a cylindrical k stays one number with bonds past the micro-modulus:
+    # the support mask, not k, zeroes those
+    for kernel in (PMB, ConstructiveRod):
+        op = NetworkForce(cloud, bonds, kernel(micro=MicroModulus("cylindrical", 1.5, 0.6 * delta)))
+        assert op.k == 1.5 and np.ndim(op.k) == 0
+        assert not op.inside.all()
     for family, model in default_models(delta, 2).items():
         if family not in ("pmb", "rod"):
             assert NetworkForce(cloud, bonds, model).k is None

@@ -29,8 +29,13 @@ the run's label. Then it prints one line for the stdout of each of
 horizon study and the normalized config. Then it builds each perfbench
 workload at seed 7,
 integrates it, and prints one line each for the final u, v and every
-series column. Run it on two commits and diff the two listings: identical
-outputs print identical lines.
+series column. Last, it prints one line per bond model: the 8 families of
+`default_models` and PMB with each of the 4 micro-moduli, whose support
+is 0.7 of the horizon (so some bonds lie past it). Each line digests
+`stiffness0` over the bonds of a periodic 16 x 16 unit-square lattice with
+horizon 3h, and gives `repr` of `stable_dt` on that lattice. Run it on
+two commits and diff the two listings: identical outputs print identical
+lines.
 """
 
 import contextlib
@@ -45,8 +50,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from peribond import outputs  # noqa: E402
+from peribond import build_bonds, build_grid, outputs, stable_dt  # noqa: E402
 from peribond.cli import cli  # noqa: E402
+from peribond.discretization import HorizonConfig  # noqa: E402
+from peribond.kernels import MICRO_FAMILIES, PMB, MicroModulus, default_models  # noqa: E402
 import workloads  # noqa: E402
 
 # (label, command, preset, config lines beyond the output section)
@@ -124,6 +131,19 @@ def workload_lines():
             yield f"{name} series.{column} {array_digest(values)}"
 
 
+def stiffness_lines():
+    h = 1.0 / 16.0
+    horizon = HorizonConfig(delta=3.0 * h)
+    cloud = build_grid((1.0, 1.0), h, 1.0)
+    bonds = build_bonds(cloud, horizon)
+    models = default_models(horizon.delta, 2)
+    for micro in MICRO_FAMILIES:
+        models[f"pmb-{micro}"] = PMB(micro=MicroModulus(micro, 1.0, 0.7 * horizon.delta))
+    for name, model in models.items():
+        yield (f"stiffness0 {name} {array_digest(model.stiffness0(bonds.xi_norm))} "
+               f"stable_dt {stable_dt(cloud, bonds, model)!r}")
+
+
 def main():
     os.environ.pop(outputs.ENV_OUTPUT_DIR, None)
     with tempfile.TemporaryDirectory() as workdir:
@@ -132,6 +152,8 @@ def main():
     for line in stdout_lines():
         print(line)
     for line in workload_lines():
+        print(line)
+    for line in stiffness_lines():
         print(line)
 
 
