@@ -186,8 +186,8 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
     linearized modulus, on the bar1d-wave table with a smaller step. Fewer
     than two horizons, or one given twice, is a ConfigError. Non-monotone
     error sequences are reported, never suppressed. A horizon that is not a
-    positive number, or whose spacing delta / m does not tile the bar, is a
-    ConfigError naming deltas, raised before the first run.
+    finite positive number, or whose spacing delta / m does not tile the
+    bar, is a ConfigError naming deltas, raised before the first run.
     """
     from .config import PRESET_CONFIGS, check_value
     from .discretization import grid_counts
@@ -202,7 +202,7 @@ def delta_convergence(deltas=(0.2, 0.1, 0.05), m=4) -> ConvergenceResult:
         try:
             check_value("horizon", "delta", delta)
         except ConfigError:
-            raise ConfigError(f"deltas: horizon {delta} is not a positive number") from None
+            raise ConfigError(f"deltas: horizon {delta} is not a finite positive number") from None
         h = bar_wave_spacing(delta, m)
         try:
             grid_counts(bar, h)

@@ -8,7 +8,7 @@ against the trailing shape, and zero memory rebinds against the current shape
 with a velocity-difference kernel — a nonlocal viscous fluid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -22,7 +22,7 @@ from .discretization import (
     pair_network,
     partial_volume_factor,
 )
-from .errors import ConfigError, SimulationError, SingularConfigurationError
+from .errors import ConfigError, SingularConfigurationError
 
 MEMORY_MODES = ("infinite", "finite", "zero")
 FLUID_KERNELS = ("linear", "kernel")
@@ -63,67 +63,34 @@ class MemoryConfig:
 
 @dataclass
 class FluidState:
-    """Current shape, velocities, and the remembered-position ring buffer."""
+    """The current shape and velocities of every point, as fluid_force and
+    memory_force read them. The reference shape is the cloud's positions."""
 
     positions: np.ndarray   # (N, dim) current coordinates chi(t)
     velocities: np.ndarray  # (N, dim)
-    reference: np.ndarray   # (N, dim) reference coordinates (pre-history shape)
-    step: int = 0
-    stride: int = 0         # memory depth in steps (finite mode)
-    _snaps: dict = field(default_factory=dict)
-
-    def push_snapshot(self):
-        self._snaps[self.step] = self.positions.copy()
-        for key in [k for k in self._snaps if k < self.step - self.stride]:
-            del self._snaps[key]
-
-    def remembered(self, target_step: int) -> np.ndarray:
-        """Positions at an earlier step; the reference shape before t = 0."""
-        if target_step < 0:
-            return self.reference
-        try:
-            return self._snaps[target_step]
-        except KeyError:
-            raise SimulationError(
-                f"insufficient history: step {target_step} not in the ring "
-                f"buffer (depth {self.stride}, current step {self.step})"
-            ) from None
 
 
-def fluid_state(cloud: PointCloud, state: dynamics.SimState, stride=0):
+def fluid_state(cloud: PointCloud, state: dynamics.SimState):
     """Lift a displacement/velocity state onto current coordinates."""
-    fs = FluidState(
-        positions=cloud.positions + state.u,
-        velocities=state.v.copy(),
-        reference=cloud.positions,
-        step=state.step,
-        stride=stride,
-    )
-    fs.push_snapshot()
-    return fs
-
-
-def _remembered_shape(state: FluidState, memory: MemoryConfig):
-    """The shape the bonds are found in, a memory span in the past. It never
-    changes, so its identity names its bonds."""
-    if memory.mode == "zero":
-        raise ConfigError("zero-memory runs use fluid_force, not memory_force")
-    if memory.mode == "infinite":
-        return state.reference
-    return state.remembered(state.step - state.stride)
+    return FluidState(positions=cloud.positions + state.u, velocities=state.v.copy())
 
 
 def memory_force(cloud, state: FluidState, model, memory: MemoryConfig, horizon: HorizonConfig):
-    """Force density with the horizon bound to the remembered configuration.
+    """Infinite-memory force density: the horizon bound to the reference shape.
 
-    Bonds are rediscovered in the shape a memory span in the past; the kernel
-    sees xi as the remembered separation and eta as the relative displacement
-    accumulated since. With infinite memory this equals the reference-network
-    internal force of the solid theory.
+    Bonds are rediscovered in the reference shape (cloud.positions) and run
+    through the operator the runs use, a dynamics.NetworkForce, at the
+    displacement state.positions - cloud.positions: the reference-network
+    internal force of the solid theory. Finite memory binds to the shapes
+    of a run's history, and zero memory is fluid_force: both are refused
+    here, and run_fluid integrates them.
     """
-    ref = _remembered_shape(state, memory)
-    bonds = pair_network(cloud, horizon, ref)
-    return dynamics.internal_force(cloud, bonds, model, state.positions - ref)
+    if memory.mode != "infinite":
+        raise ConfigError(f"[memory] mode: memory_force evaluates infinite memory; "
+                          f"integrate {memory.mode} memory with run_fluid")
+    bonds = pair_network(cloud, horizon, cloud.positions)
+    remembered = dynamics.SimState(state.positions - cloud.positions, state.velocities)
+    return dynamics.NetworkForce(cloud, bonds, model).force(remembered, state.velocities)
 
 
 def fluid_workspace(dim):
@@ -135,15 +102,15 @@ def fluid_workspace(dim):
 
 
 def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: HorizonConfig,
-                model=None, velocities=None, workspace=None):
+                model=None, workspace=None):
     """Zero-memory force: kernel over current-configuration neighbors.
 
     The second kernel argument is the velocity difference scaled by the
     memory coefficient, so the force depends on velocity differences only
-    (Galilean invariant by construction). velocities optionally overrides
-    state.velocities. The current shape's pairs come from directed_pairs
-    through the workspace, which holds its last search: a second call at one
-    shape, with other velocities, reads the held search instead of searching.
+    (Galilean invariant by construction). The current shape's pairs come
+    from directed_pairs through the workspace, which holds its last search:
+    a second call at one shape, with other velocities, reads the held search
+    instead of searching.
 
     Each unordered pair is evaluated once: the search's xi and dist hold the
     P pairs as found (source i < neighbor j: directed rows P .. 2P - 1), and
@@ -163,7 +130,7 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
     running column sum, the same additions in the same order as
     np.sum(dv * n, axis=1).
     """
-    v = state.velocities if velocities is None else velocities
+    v = state.velocities
     dim = v.shape[1]
     workspace = fluid_workspace(dim) if workspace is None else workspace
     source, neighbors, xi, dist = directed_pairs(state.positions, horizon.delta, cloud.box,
@@ -217,16 +184,19 @@ def fluid_force(cloud, state: FluidState, memory: MemoryConfig, horizon: Horizon
 class MemoryForce:
     """Force operator of the finite- and zero-memory dynamics.
 
-    Each evaluation lifts the loop's displacement state onto current
-    coordinates (cloud.positions + u) in one FluidState. Finite memory pushes
-    every step's shape into its ring buffer and keeps the last remembered
-    shape with a dynamics.NetworkForce on the pairs found in it, so one
-    step's force and energy share one search. That operator is never
-    settled: it lives for one shape, carries no breaker state, and its last
-    pass goes with it. Only finite memory's force is carried over to the
-    next step: settle returns None otherwise. The zero-memory force depends
-    on velocity, so each shape's force is evaluated twice: at the end of one
-    step and at the start of the next.
+    Finite memory binds step n's bonds to the shape of step n - stride, with
+    stride = round(s / dt) steps (at least 1), and to the reference shape
+    (cloud.positions) before the run's first step. The operator holds those
+    shapes itself, keyed by step: the incoming state's at construction and
+    each step's at its settle, which drops the one no later step remembers,
+    so at most stride + 1 are held. It keeps the dynamics.NetworkForce of
+    the last remembered step (-1 for the reference shape) on the pairs found
+    in that shape, so one step's force and energy share one search. That
+    operator is never settled: it lives for one shape, carries no breaker
+    state, and its last pass goes with it. Only finite memory's force is
+    carried over to the next step: settle returns None otherwise.
+    The zero-memory force depends on velocity, so each shape's force is
+    evaluated twice: at the end of one step and at the start of the next.
     Zero memory keeps one fluid_workspace for the operator's lifetime: its
     force calls refill the force columns instead of allocating them per call,
     and the second call at a shape reuses the search the workspace holds
@@ -235,33 +205,35 @@ class MemoryForce:
 
     def __init__(self, cloud, horizon: HorizonConfig, model, memory: MemoryConfig,
                  state: dynamics.SimState, dt: float):
-        stride = max(1, int(round(memory.s / dt))) if memory.mode == "finite" else 0
         self.cloud, self.horizon, self.model, self.memory = cloud, horizon, model, memory
-        self.fs = fluid_state(cloud, state, stride=stride)
-        self._network = None  # (remembered shape, its NetworkForce)
+        self.stride, self._first, self._shapes = 0, state.step, {}
+        if memory.mode == "finite":
+            steps = memory.s / dt
+            if not math.isfinite(steps):
+                raise ConfigError(f"[memory] s: a span of {memory.s} is too many steps of "
+                                  f"dt = {dt} to count; set [memory] mode = infinite")
+            self.stride = max(1, int(round(steps)))
+            self._shapes[state.step] = cloud.positions + state.u
+        self._network = None, None  # (remembered step, its NetworkForce)
         self._workspace = fluid_workspace(cloud.dim) if memory.mode == "zero" else None
 
-    def _lift(self, state, v):
-        fs = self.fs
-        fs.positions = self.cloud.positions + state.u
-        fs.velocities = v
-        fs.step = state.step
-        return fs
-
-    def _remembered(self, state, v):
+    def _remembered(self, state):
         """The remembered shape's operator, and state as it sees it."""
-        fs = self._lift(state, v)
-        ref = _remembered_shape(fs, self.memory)
-        if self._network is None or self._network[0] is not ref:
-            bonds = pair_network(self.cloud, self.horizon, ref)
-            self._network = ref, dynamics.NetworkForce(self.cloud, bonds, self.model)
-        return self._network[1], dynamics.SimState(fs.positions - ref, v)
+        step = state.step - self.stride
+        step = step if step >= self._first else -1
+        shape = self._shapes[step] if step >= 0 else self.cloud.positions
+        if self._network[0] != step:
+            bonds = pair_network(self.cloud, self.horizon, shape)
+            self._network = step, dynamics.NetworkForce(self.cloud, bonds, self.model)
+        return self._network[1], dynamics.SimState(self.cloud.positions + state.u - shape,
+                                                   state.v)
 
     def force(self, state, v):
         if self.memory.mode == "zero":
-            return fluid_force(self.cloud, self._lift(state, v), self.memory, self.horizon,
+            shape = FluidState(self.cloud.positions + state.u, v)
+            return fluid_force(self.cloud, shape, self.memory, self.horizon,
                                model=self.model, workspace=self._workspace)
-        op, remembered = self._remembered(state, v)
+        op, remembered = self._remembered(state)
         return op.force(remembered, v)
 
     def potential(self, state):
@@ -269,7 +241,7 @@ class MemoryForce:
         of zero memory stores none."""
         if self.memory.mode == "zero":
             return 0.0
-        op, remembered = self._remembered(state, state.v)
+        op, remembered = self._remembered(state)
         return op.potential(remembered)
 
     def damage(self):
@@ -278,7 +250,8 @@ class MemoryForce:
     def settle(self, state, dt, force):
         if self.memory.mode != "finite":
             return None
-        self._lift(state, state.v).push_snapshot()
+        self._shapes[state.step] = self.cloud.positions + state.u
+        self._shapes.pop(state.step - self.stride - 1, None)
         return force
 
 

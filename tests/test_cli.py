@@ -181,6 +181,23 @@ def test_print_config_refuses_what_run_refuses(tmp_path, capsys, text):
     assert capsys.readouterr().err == printed.err
 
 
+def test_a_finite_span_too_long_to_count_in_steps_exits_2_naming_it(
+        tmp_path, monkeypatch, capsys):
+    # s = 1e308 passes the gate (finite and positive), but at dt = 0.01 it
+    # is inf steps: refused before any step, where it once escaped as an
+    # OverflowError traceback
+    def unrun(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(dynamics, "integrate", unrun)
+    cfg = write(tmp_path, "long.cfg", "[scenario]\npreset = fluid-shear\n[memory]\n"
+                "mode = finite\ns = 1e308\n[time]\ndt = 0.01\n[output]\n"
+                f"directory = {tmp_path / 'out'}\n")
+    assert cli(["fluid-run", "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [memory] s: ") and "mode = infinite" in err
+
+
 def test_zero_memory_needs_fluid_run(tmp_path, capsys):
     assert cli(["run", "--preset", "fluid-shear"]) == 2
     assert "needs fluid-run" in capsys.readouterr().err
@@ -313,7 +330,7 @@ def test_convergence_names_the_arguments_of_a_horizon_that_does_not_tile(capsys)
     assert "[domain]" not in printed.err
 
 
-@pytest.mark.parametrize("deltas", ["0.4,-0.2", "nan,0.1"])
+@pytest.mark.parametrize("deltas", ["0.4,-0.2", "nan,0.1", "inf,0.1"])
 def test_convergence_names_the_argument_of_a_horizon_that_is_not_positive(
         deltas, monkeypatch, capsys):
     runs = []
@@ -322,6 +339,7 @@ def test_convergence_names_the_argument_of_a_horizon_that_is_not_positive(
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith("config error: deltas: horizon ")
+    assert printed.err.endswith(" is not a finite positive number\n")
     assert "[horizon]" not in printed.err
     assert runs == []
 

@@ -79,7 +79,7 @@ def fluid_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     positions = cloud.positions + 0.3 * h * rng.uniform(-1.0, 1.0, cloud.positions.shape)
     velocities = rng.standard_normal(positions.shape) * 10.0 ** rng.uniform(-3, 1)
-    state = FluidState(positions=positions, velocities=velocities, reference=cloud.positions)
+    state = FluidState(positions=positions, velocities=velocities)
     delta = m * h
     horizon = HorizonConfig(delta, draw(st.sampled_from(PARTIAL_VOLUME_MODES)))
     memory = MemoryConfig(mode="zero", coefficient=draw(st.floats(0.01, 100.0)),
@@ -181,8 +181,7 @@ def test_a_coincident_pair_names_its_particles():
     cloud = build_grid((1.0, 1.0), 0.25, 1.0, periodic=(True, False))
     positions = cloud.positions.copy()
     positions[5] = positions[6]
-    state = FluidState(positions=positions, velocities=np.zeros_like(positions),
-                       reference=cloud.positions)
+    state = FluidState(positions=positions, velocities=np.zeros_like(positions))
     with pytest.raises(SingularConfigurationError,
                        match=r"^particles 5 and 6 coincide in the deformed configuration$"):
         fluid_force(cloud, state, MemoryConfig(mode="zero"), HorizonConfig(0.3))
@@ -205,8 +204,7 @@ def test_one_zero_memory_operator_matches_fresh_calls_as_the_pair_count_moves(fl
         jitter = 0.02 * rng.uniform(-1.0, 1.0, cloud.positions.shape)
         state.u[:] = center + scale * (cloud.positions - center) + jitter - cloud.positions
         v = rng.standard_normal(state.u.shape)
-        shape = FluidState(positions=cloud.positions + state.u, velocities=v,
-                           reference=cloud.positions)
+        shape = FluidState(positions=cloud.positions + state.u, velocities=v)
         got = op.force(state, v)
         assert np.array_equal(got, fluid_force(cloud, shape, memory, horizon, model=model))
         assert np.array_equal(got, broadcast_fluid_force(cloud, shape, memory, horizon, model))

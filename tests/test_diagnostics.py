@@ -280,13 +280,14 @@ def test_delta_convergence_names_a_horizon_that_does_not_tile_the_bar(monkeypatc
 
 
 @pytest.mark.parametrize("deltas, bad", [((0.4, -0.2), "-0.2"), ((math.nan, 0.1), "nan"),
-                                         ((0.4, 0.0), "0.0")])
-def test_delta_convergence_names_a_horizon_that_is_not_positive(monkeypatch, deltas, bad):
+                                         ((0.4, 0.0), "0.0"), ((math.inf, 0.1), "inf")])
+def test_delta_convergence_names_a_horizon_that_is_not_finite_and_positive(
+        monkeypatch, deltas, bad):
     # refused as one of the deltas, not as the [horizon] delta of a table the
     # caller never wrote, and before any run
     built = []
     monkeypatch.setattr(scenarios, "build_bar_wave", lambda **kw: built.append(kw))
     with pytest.raises(ConfigError) as caught:
         delta_convergence(deltas=deltas, m=2)
-    assert str(caught.value) == f"deltas: horizon {bad} is not a positive number"
+    assert str(caught.value) == f"deltas: horizon {bad} is not a finite positive number"
     assert built == []

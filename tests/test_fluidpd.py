@@ -1,4 +1,4 @@
-"""Memory modes: ring buffer, rediscovered horizons, and the fluid limit."""
+"""Memory modes: remembered shapes, rediscovered horizons, and the fluid limit."""
 
 import dataclasses
 import math
@@ -23,8 +23,8 @@ from peribond import (
 )
 from peribond import discretization, dynamics, fluidpd, kernels
 from peribond.discretization import directed_pairs, neighbor_pairs
-from peribond.errors import ConfigError, SimulationError, SingularConfigurationError
-from peribond.fluidpd import FluidState, MemoryForce, fluid_state
+from peribond.errors import ConfigError, SingularConfigurationError
+from peribond.fluidpd import MemoryForce, fluid_state
 from peribond.kernels import Convolution, MicroModulus, PMB, default_models
 from test_column_arithmetic import broadcast_fluid_force, fluid_cases
 
@@ -42,34 +42,16 @@ def test_memory_config_validation():
         MemoryConfig(fluid_kernel="cubic")
 
 
-def test_ring_buffer_depth_and_prehistory():
-    pos = np.zeros((2, 1))
-    fs = FluidState(positions=pos.copy(), velocities=np.zeros((2, 1)),
-                    reference=pos.copy(), stride=2)
-    fs.push_snapshot()          # step 0
-    for step in (1, 2, 3):
-        fs.step = step
-        fs.positions += 1.0
-        fs.push_snapshot()
-    # depth 2 keeps steps 1..3; step 0 was pruned
-    assert np.allclose(fs.remembered(1), 1.0)
-    assert np.allclose(fs.remembered(3), 3.0)
-    with pytest.raises(SimulationError, match="insufficient history"):
-        fs.remembered(0)
-    # negative steps fall back on the reference shape
-    assert fs.remembered(-1) is fs.reference
-
-
 def test_fluid_state_lifts_displacements():
     cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
     state = zero_state(cloud)
     state.u[:, 0] = 0.125
     state.v[:, 0] = 2.0
-    fs = fluid_state(cloud, state, stride=3)
+    fs = fluid_state(cloud, state)
+    assert [f.name for f in dataclasses.fields(fs)] == ["positions", "velocities"]
     assert np.allclose(fs.positions[:, 0], cloud.positions[:, 0] + 0.125)
     assert np.allclose(fs.velocities[:, 0], 2.0)
-    assert fs.stride == 3
-    assert np.allclose(fs.remembered(0), fs.positions)  # initial snapshot
+    assert not np.shares_memory(fs.velocities, state.v)
 
 
 def test_infinite_memory_matches_reference_network_forces():
@@ -88,36 +70,59 @@ def test_infinite_memory_matches_reference_network_forces():
     assert np.array_equal(got, want)
 
 
-def test_memory_force_rejects_zero_mode():
+@pytest.mark.parametrize("memory", [MemoryConfig(mode="finite", s=0.1),
+                                    MemoryConfig(mode="zero")])
+def test_memory_force_refuses_the_memories_a_run_integrates(memory):
     cloud = build_grid((1.0,), 0.25, 1.0, periodic=(False,))
     fs = fluid_state(cloud, zero_state(cloud))
-    with pytest.raises(ConfigError, match="fluid_force"):
-        memory_force(cloud, fs, None, MemoryConfig(mode="zero"),
-                     HorizonConfig(0.5))
+    with pytest.raises(ConfigError, match=r"^\[memory\] mode: .*run_fluid"):
+        memory_force(cloud, fs, None, memory, HorizonConfig(0.5))
 
 
-def test_finite_memory_rebinds_against_trailing_shape():
-    # two particles drift apart; with a short memory the remembered gap, not
-    # the reference gap, sets the bond's xi
+def test_finite_memory_binds_the_shape_a_stride_back():
+    # two particles drift apart; with stride 2 steps 0 and 1 bind the
+    # reference gap and step n >= 2 the gap of step n - 2, against which the
+    # displacement since is eta. The operator holds at most stride + 1 shapes.
     cloud = build_grid((1.0,), 0.5, 1.0, periodic=(False,))
     horizon = HorizonConfig(0.6, partial_volume="none")
     model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.6))
+    memory, dt, stride = MemoryConfig(mode="finite", s=0.2), 0.1, 2
+    drift = [0.01 + 0.01 * n + 0.001 * n * n for n in range(7)]
     state = zero_state(cloud)
-    fs = fluid_state(cloud, state, stride=1)
-    memory = MemoryConfig(mode="finite", s=0.1)
+    state.u[1, 0] = drift[0]
+    op = MemoryForce(cloud, horizon, model, memory, state, dt)
+    assert op.stride == stride
+    for n, d in enumerate(drift):
+        state.step, state.u[1, 0] = n, d
+        f = op.force(state, state.v)
+        bound = drift[n - stride] if n >= stride else 0.0
+        xi, eta = np.array([0.5 + bound]), np.array([d - bound])
+        expected = model.force(xi, eta)[0] * 0.5  # neighbor volume weight
+        assert f[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert f[1, 0] == pytest.approx(-expected, rel=1e-12)
+        if n:
+            assert op.settle(state, dt, f) is f
+            assert len(op._shapes) == min(n + 1, stride + 1)
 
-    fs.step = 1
-    fs.positions = fs.positions + np.array([[0.0], [0.02]])
-    fs.push_snapshot()
-    fs.step = 2
-    fs.positions = fs.positions + np.array([[0.0], [0.01]])
 
-    # remembered shape is step 1: separation 0.52, eta relative to it is 0.01
-    f = memory_force(cloud, fs, model, memory, horizon)
-    xi, eta = np.array([0.52]), np.array([0.01])
-    expected = model.force(xi, eta)[0] * 0.5  # neighbor volume weight
-    assert f[0, 0] == pytest.approx(expected, rel=1e-12)
-    assert f[1, 0] == pytest.approx(-expected, rel=1e-12)
+def test_a_continued_finite_memory_run_binds_the_reference_shape_first():
+    # a second run on the same state starts at step 10 with no shapes of
+    # its own past: until its stride elapses it binds the reference shape,
+    # as a run from step 0 does (this once raised "insufficient history")
+    cloud = build_grid((1.0,), 0.125, 1.0, periodic=(True,))
+    horizon = HorizonConfig(0.375)
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.375))
+    memory = MemoryConfig(mode="finite", s=0.05)
+    state = zero_state(cloud)
+    state.v[:, 0] = 0.05 * np.sin(2.0 * math.pi * cloud.positions[:, 0])
+    run_fluid(cloud, horizon, model, memory, state, 0.01, 10)
+    assert state.step == 10
+    bonds = discretization.pair_network(cloud, horizon, cloud.positions)
+    want = dynamics.NetworkForce(cloud, bonds, model).potential(state)
+    op = MemoryForce(cloud, horizon, model, memory, state, 0.01)
+    assert want > 0.0 and op.potential(state) == pytest.approx(want, rel=1e-12)
+    result = run_fluid(cloud, horizon, model, memory, state, 0.01, 10)
+    assert state.step == 20 and np.all(np.isfinite(result.series["total"]))
 
 
 def test_fluid_force_linear_kernel_value():
@@ -129,10 +134,6 @@ def test_fluid_force_linear_kernel_value():
     f = fluid_force(cloud, fs, memory, HorizonConfig(2.0, partial_volume="none"))
     # f = coeff (dv . n) n per bond, weighted by the neighbor volume 1
     assert np.allclose(f, [[6.0], [-6.0]])
-    # overriding velocities changes the evaluation point, not the state
-    f2 = fluid_force(cloud, fs, memory, HorizonConfig(2.0, partial_volume="none"),
-                     velocities=np.zeros((2, 1)))
-    assert np.allclose(f2, 0.0)
 
 
 def test_fluid_force_kernel_mode():
@@ -351,9 +352,9 @@ def test_run_fluid_finite_memory_runs_and_records():
 
 
 def test_the_loops_evaluate_every_pair_through_network_force(monkeypatch):
-    # run and finite-memory run_fluid reach the kernel only through
-    # NetworkForce's pass: never through the unbound entry points. Finite
-    # memory builds one operator per distinct remembered shape: the
+    # run, finite-memory run_fluid and memory_force reach the kernel only
+    # through NetworkForce's pass: never through the unbound entry points.
+    # Finite memory builds one operator per distinct remembered shape: the
     # reference shape, then the shapes of steps 0 .. n - stride.
     def refused(*args, **kwargs):
         raise AssertionError("a loop called an unbound entry point")
@@ -387,6 +388,22 @@ def test_the_loops_evaluate_every_pair_through_network_force(monkeypatch):
     run_fluid(cloud, horizon, model, MemoryConfig(mode="finite", s=stride * 0.02), state,
               0.02, n_steps)
     assert len(built) == 2 + n_steps - stride
+
+    built.clear()
+    got = memory_force(cloud, fluid_state(cloud, state), model, MemoryConfig(), horizon)
+    assert len(built) == 1 and got.shape == state.u.shape
+
+
+def test_run_fluid_refuses_a_span_too_long_to_count_in_steps():
+    # 1e308 / 0.01 overflows to inf steps: refused naming the span before
+    # any step, where it once escaped as an OverflowError
+    cloud = build_grid((1.0,), 0.0625, 1.0, periodic=(True,))
+    model = PMB(micro=MicroModulus("cylindrical", 1.0, 0.25))
+    state = zero_state(cloud)
+    with pytest.raises(ConfigError, match=r"^\[memory\] s: .*mode = infinite"):
+        run_fluid(cloud, HorizonConfig(0.25), model, MemoryConfig(mode="finite", s=1e308),
+                  state, 0.01, 40)
+    assert state.step == 0
 
 
 def test_run_fluid_validation():

@@ -34,7 +34,7 @@ from peribond.dynamics import (
     momentum,
     potential_energy,
 )
-from peribond.fluidpd import fluid_force, fluid_state, memory_force
+from peribond.fluidpd import FluidState, fluid_force, fluid_state
 from peribond.kernels import MicroModulus, PMB, update_breaker
 
 REL = 1e-12
@@ -75,25 +75,35 @@ def reference_solid_run(cloud, bonds, model, state, dt, n_steps, load, record_ev
 
 
 def reference_memory_run(cloud, horizon, model, memory, state, dt, n_steps, record_every):
-    """Position-form Verlet: current coordinates advance directly and the
-    finite-memory ring buffer is pushed before the second force."""
+    """Position-form Verlet: current coordinates advance directly. Finite
+    memory keeps every step's shape and binds step n to the shape of step
+    n - stride (the reference shape before step 0), whose pair_network the
+    unbound entry points evaluate."""
     stride = max(1, int(round(memory.s / dt))) if memory.mode == "finite" else 0
-    fs = fluid_state(cloud, state, stride=stride)
+    fs = fluid_state(cloud, state)
+    shapes = [fs.positions.copy()]
     inv_rho = 1.0 / cloud.density
     t = state.t
 
+    def remembered():
+        """The remembered shape's network and the displacement since."""
+        n = len(shapes) - 1 - stride
+        ref = shapes[n] if n >= 0 else cloud.positions
+        return pair_network(cloud, horizon, ref), fs.positions - ref
+
     def force_at(velocities):
         if memory.mode == "finite":
-            return memory_force(cloud, fs, model, memory, horizon)
-        return fluid_force(cloud, fs, memory, horizon, model=model, velocities=velocities)
+            bonds, u = remembered()
+            return internal_force(cloud, bonds, model, u)
+        return fluid_force(cloud, FluidState(fs.positions, velocities), memory, horizon,
+                           model=model)
 
     def row():
         kin = kinetic_energy(cloud, fs.velocities)
         pot = 0.0
         if memory.mode == "finite":
-            ref = fs.remembered(fs.step - fs.stride)
-            bonds = pair_network(cloud, horizon, ref)
-            pot = potential_energy(cloud, bonds, model, fs.positions - ref)
+            bonds, u = remembered()
+            pot = potential_energy(cloud, bonds, model, u)
         return [t, kin, pot, kin + pot, *momentum(cloud, fs.velocities).tolist(), 0.0]
 
     rows = [row()]
@@ -101,12 +111,11 @@ def reference_memory_run(cloud, horizon, model, memory, state, dt, n_steps, reco
         v_half = fs.velocities + 0.5 * dt * force_at(fs.velocities) * inv_rho
         fs.positions += dt * v_half
         t += dt
-        fs.step += 1
-        fs.push_snapshot()
+        shapes.append(fs.positions.copy())
         fs.velocities = v_half + 0.5 * dt * force_at(v_half) * inv_rho
         if k % record_every == 0 or k == n_steps:
             rows.append(row())
-    return fs.positions - fs.reference, fs.velocities, np.asarray(rows)
+    return fs.positions - cloud.positions, fs.velocities, np.asarray(rows)
 
 
 def assert_close(got, want, scale, what):

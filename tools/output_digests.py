@@ -9,7 +9,10 @@ It runs `run --preset bar1d-wave`, `run --preset plate2d-precrack`,
 `fluid-run --preset fluid-shear`, `fluid-run --preset fluid-shear` once
 more with finite memory (`[memory] mode = finite`, `s = 0.04`, `[time]
 steps = 200`: a stride of 2 steps at dt 0.02, far inside the stable span),
-once more with the bond model as the zero-memory kernel (`[memory]
+once more with finite memory recorded at every step (`s = 0.06`, `[time]
+steps = 12`, `record_every = 1`: a stride of 3, so the potential is
+recorded while the bonds bind the reference shape and after they bind the
+remembered shapes), once more with the bond model as the zero-memory kernel (`[memory]
 fluid_kernel = kernel`), and once more in 3D (`dim = 3`, a periodic unit
 cube, `h = 0.125`, `delta = 0.375`, 40 steps). Then it runs the plate
 once more with the graded breaker (`[breaker] mode = theta-eps`, `eps =
@@ -62,6 +65,8 @@ CLI_RUNS = (("bar1d-wave", "run", "bar1d-wave", ""),
             ("fluid-shear", "fluid-run", "fluid-shear", ""),
             ("fluid-shear-finite", "fluid-run", "fluid-shear",
              "[memory]\nmode = finite\ns = 0.04\n[time]\nsteps = 200\n"),
+            ("fluid-shear-finite-every-step", "fluid-run", "fluid-shear",
+             "[memory]\nmode = finite\ns = 0.06\n[time]\nsteps = 12\nrecord_every = 1\n"),
             ("fluid-shear-kernel", "fluid-run", "fluid-shear",
              "[memory]\nfluid_kernel = kernel\n"),
             ("fluid-shear-3d", "fluid-run", "fluid-shear",
